@@ -7,40 +7,11 @@ function of ``(configuration, master seed)`` and two runs of the same
 experiment produce byte-identical streams — the property the golden-trace
 tier locks in (see docs/observability.md).
 
-The records mirror the four decision layers of the system:
-
-==================  ====================================================
-kind                emitted by
-==================  ====================================================
-``sim.event``       :class:`~repro.sim.engine.Engine` event dispatch
-``net.send``        :class:`~repro.net.transport.Transport.send`
-``net.deliver``     transport delivery
-``net.drop``        transport drop, with fault attribution (``reason``)
-``agent.discovery`` one eq. (10)/§3.1 routing decision
-``agent.local``     a request absorbed into the agent's own scheduler
-``agent.ack``       an ACK sent by the resilience layer
-``agent.retry``     an ack-timeout retry / reroute
-``agent.give_up``   the resilience layer exhausting its retries
-``agent.down``      ``Agent.deactivate`` (crash)
-``agent.up``        ``Agent.reactivate`` (restart)
-``auction.open``    an AuctionPolicy CFP round opening
-``auction.bid``     one sealed bid arriving at the auctioneer
-``auction.settle``  an auction resolving (all bids, timeout, or crash)
-``resv.request``    a ReservationPolicy RESERVE going out
-``resv.book``       a freetime window booked for a remote request
-``resv.release``    a booked window released (consumed/declined/death/...)
-``portal.submit``   one portal submission
-``portal.retry``    a portal-level resubmission
-``portal.result``   a result recorded at the portal
-``sched.queue``     a task entering the optimisation set T
-``sched.dispatch``  a task launched onto nodes (GA slot / static launch)
-``sched.cost``      eq. (8) components of the dispatched best solution
-``sched.complete``  a task completing execution
-``ga.evolve``       one ``GAScheduler.evolve`` call (per-gen best costs)
-``dag.release``     a workflow node released to the grid (parents done)
-``dag.transfer``    one staged-in parent output arriving at a cluster
-``dag.ready``       a gated task's inputs all present — dispatchable
-==================  ====================================================
+The records mirror the decision layers of the system, in definition
+order: sim, net, agents, auction/reservation policies, membership,
+portal, scheduler, GA and workflow.  :func:`record_kind_table` renders
+every kind with its record class and meaning; docs/observability.md
+embeds that table and a test keeps the two in step.
 
 :data:`CANONICAL_FIELDS` is the golden-trace normaliser: for each kind it
 whitelists the *decision* fields (dropping payload bytes, event sequence
@@ -93,6 +64,8 @@ __all__ = [
     "record_to_dict",
     "canonical_dict",
     "canonical_lines",
+    "record_classes",
+    "record_kind_table",
 ]
 
 
@@ -492,11 +465,7 @@ class EvolveStep(TraceRecord):
 
     ``history`` holds this call's per-generation best costs — the series
     the invariant checker proves non-increasing (elitism guarantees the
-    incumbent never worsens within one call).  ``kernel`` names the GA
-    kernel that ran (``reference`` / ``batched`` / ``vectorized``); it is
-    diagnostic, not canonical — the reference and batched kernels are
-    byte-identical and the vectorized kernel is gated on cost parity, so
-    golden traces stay kernel-independent.
+    incumbent never worsens within one call).
     """
 
     kind: ClassVar[str] = "ga.evolve"
@@ -506,7 +475,6 @@ class EvolveStep(TraceRecord):
     generations: int
     best_cost: float
     history: Tuple[float, ...]
-    kernel: str = ""
 
 
 # ------------------------------------------------------------ workflow layer
@@ -641,3 +609,34 @@ def canonical_lines(records: Sequence[TraceRecord]) -> List[str]:
         if payload is not None:
             lines.append(json.dumps(payload, sort_keys=True))
     return lines
+
+
+def record_classes() -> List[type]:
+    """Every concrete record class, in definition (= layer) order."""
+    return [
+        obj
+        for obj in (globals()[name] for name in __all__)
+        if isinstance(obj, type)
+        and issubclass(obj, TraceRecord)
+        and obj is not TraceRecord
+    ]
+
+
+def record_kind_table() -> str:
+    """The record-kind table of docs/observability.md, as markdown.
+
+    One row per kind: the record class, the first line of its docstring,
+    and the fields the golden-trace normaliser keeps.
+    """
+    lines = [
+        "| kind | record | meaning | canonical fields |",
+        "|---|---|---|---|",
+    ]
+    for cls in record_classes():
+        summary = (cls.__doc__ or "").strip().splitlines()[0].replace("``", "`")
+        kept = CANONICAL_FIELDS.get(cls.kind)
+        canonical = (
+            "dropped (bulk)" if kept is None else ", ".join(f"`{f}`" for f in kept)
+        )
+        lines.append(f"| `{cls.kind}` | `{cls.__name__}` | {summary} | {canonical} |")
+    return "\n".join(lines)

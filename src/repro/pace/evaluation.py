@@ -137,7 +137,7 @@ class EvaluationEngine:
         """The whole ``[t(1) .. t(max_nproc)]`` duration row, in one call.
 
         Fills every subset size through the cache in a single bulk
-        traversal (:meth:`EvaluationCache.get_many`) — the batched fast
+        traversal (:meth:`EvaluationCache.get_many`) — the bulk fast
         path behind the GA's per-task duration rows and eq. (10)'s
         :meth:`best_count` minimisation.  Statistics and cached values are
         identical to ``max_nproc`` scalar :meth:`evaluate_count` calls.

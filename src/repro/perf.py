@@ -2,25 +2,13 @@
 
 The suite times the hot kernels this codebase optimises:
 
-* ``ga_evolve_batched`` / ``ga_evolve_reference`` — generations/second of
-  :meth:`~repro.scheduling.ga.GAScheduler.evolve` under the batched
-  crossover kernel and the per-pair reference kernel
-  (``GAConfig(batched=False)``).  Both consume the identical RNG stream,
-  so the comparison times exactly the same evolutionary work.
-* ``ga_evolve_vectorized`` — the same protocol under
-  ``GAConfig(kernel="vectorized")``, the whole-population array kernel of
-  :mod:`repro.scheduling.vectorized`.  Its RNG stream differs from the
-  reference by design (byte-identity is relaxed; quality parity is gated
-  by the property tests), so the number measures the same workload shape
-  rather than the same stream.
+* ``ga_evolve_vectorized`` — generations/second of
+  :meth:`~repro.scheduling.ga.GAScheduler.evolve`, the GA kernel of
+  :mod:`repro.scheduling.vectorized`, on a case-study-shaped population
+  (12 tasks, 16 nodes, population 50).
 * ``ga_warmstart_convergence`` — generation-budget saving of the
   list-scheduling warm start: how many fewer generations the seeded
-  vectorized population needs to match a cold run's final best cost.
-* ``ga_evaluate_dedup`` / ``ga_evaluate_full`` — individuals/second of
-  one population costing on a *converged* population, through the
-  evaluation-reuse layer (digest → dedup → subset evaluate → scatter)
-  versus the naive evaluate-everything path; ``ga_dedup_hit_rate``
-  records the measured duplicate fraction of that population.
+  population needs to match a cold run's final best cost.
 * ``evaluate_scalar`` / ``evaluate_counts`` — warm-cache evaluation
   calls/second of the per-count scalar loop versus the bulk
   :meth:`~repro.pace.evaluation.EvaluationEngine.evaluate_counts` path.
@@ -135,14 +123,12 @@ class Regression:
 # ------------------------------------------------------------------ kernels
 
 
-def _make_ga(
-    batched: bool,
-    n_tasks: int = 12,
-    n_nodes: int = 16,
-    kernel: Optional[str] = None,
-    warmstart_count: Optional[int] = None,
-):
-    """A GA over the paper's applications, mirroring the case-study setup."""
+def _make_ga(warmstart_count: Optional[int] = None):
+    """A GA over the paper's applications, mirroring the case-study setup.
+
+    12 tasks on a 16-node SGIOrigin2000, default ``GAConfig`` apart from
+    *warmstart_count* when given.
+    """
     from repro.pace.evaluation import EvaluationEngine
     from repro.pace.hardware import SGI_ORIGIN_2000
     from repro.pace.workloads import paper_applications
@@ -151,50 +137,43 @@ def _make_ga(
     engine = EvaluationEngine()
     models = list(paper_applications().values())
     rows = [
-        engine.evaluate_counts(model, SGI_ORIGIN_2000, n_nodes) for model in models
+        engine.evaluate_counts(model, SGI_ORIGIN_2000, 16) for model in models
     ]
-    config_kwargs: Dict[str, object] = {"batched": batched, "kernel": kernel}
-    if warmstart_count is not None:
-        config_kwargs["warmstart_count"] = warmstart_count
+    config = (
+        GAConfig()
+        if warmstart_count is None
+        else GAConfig(warmstart_count=warmstart_count)
+    )
     ga = GAScheduler(
-        n_nodes,
+        16,
         lambda tid, k: float(rows[tid % len(rows)][k - 1]),
         np.random.default_rng(2003),
-        GAConfig(**config_kwargs),
+        config,
         duration_row=lambda tid: rows[tid % len(rows)],
     )
-    for tid in range(n_tasks):
+    for tid in range(12):
         ga.add_task(tid, deadline=600.0 + 40.0 * tid)
     return ga
 
 
-def bench_ga_evolve(
-    batched: bool,
-    generations: int = 25,
-    repeats: int = 5,
-    kernel: Optional[str] = None,
-) -> BenchResult:
-    """Generations/second of ``evolve`` under one GA kernel.
+def bench_ga_evolve(generations: int = 25, repeats: int = 5) -> BenchResult:
+    """Generations/second of ``evolve``.
 
     Best-of-*repeats* chunks of *generations* each (generations are
     homogeneous in cost, so the fastest chunk is the least-noisy sample).
-    Whole-``evolve`` throughput dilutes the crossover kernel behind the
-    cost evaluation — :func:`bench_ga_crossover` isolates the kernel.
-    *kernel* selects an explicit ``GAConfig.kernel`` (``"vectorized"``
-    produces ``ga_evolve_vectorized``); ``None`` keeps the historical
-    batched/reference pair.
+    The name keeps its historical ``_vectorized`` suffix so committed
+    baselines stay comparable.
     """
     free = [0.0] * 16
-    ga = _make_ga(batched, kernel=kernel)
+    ga = _make_ga()
     ga.evolve(3, free, 0.0)  # warm-up: population allocation, caches
     best = float("inf")
     for _ in range(repeats):
         start = time.perf_counter()
         ga.evolve(generations, free, 0.0)
         best = min(best, time.perf_counter() - start)
-    kind = kernel if kernel is not None else ("batched" if batched else "reference")
     return BenchResult(
-        name=f"ga_evolve_{kind}",
+        name="ga_evolve_vectorized",
         value=generations / best,
         unit="generations/s",
         higher_is_better=True,
@@ -206,22 +185,22 @@ def bench_ga_evolve(
 def bench_ga_warmstart_convergence(generations: int = 25) -> BenchResult:
     """Generation-budget saving of the list-scheduling warm start.
 
-    Two identical vectorized-kernel GAs (same seed, same tasks, same
-    availability) differ only in ``warmstart_count``: the *cold* run
-    (no seeds) evolves the full *generations* budget and its final best
-    cost becomes the quality target; the *warm* run (default seeds)
-    then evolves one generation at a time until it first matches that
-    target.  The reported value is ``generations / generations_used`` —
-    e.g. 5x means the seeded population reached the cold run's 25-gen
-    quality in 5 generations.  Fully seeded, so the number is
-    deterministic on a given numpy version; 1.0 is the worst case (warm
-    start never worse than cold under equal budgets is *not* implied —
-    the floor simply means the whole budget was needed).
+    Two identical GAs (same seed, same tasks, same availability) differ
+    only in ``warmstart_count``: the *cold* run (no seeds) evolves the
+    full *generations* budget and its final best cost becomes the quality
+    target; the *warm* run (default seeds) then evolves one generation at
+    a time until it first matches that target.  The reported value is
+    ``generations / generations_used`` — e.g. 5x means the seeded
+    population reached the cold run's 25-gen quality in 5 generations.
+    Fully seeded, so the number is deterministic on a given numpy
+    version; 1.0 is the worst case (warm start never worse than cold
+    under equal budgets is *not* implied — the floor simply means the
+    whole budget was needed).
     """
     free = [0.0] * 16
-    cold = _make_ga(batched=True, kernel="vectorized", warmstart_count=0)
+    cold = _make_ga(warmstart_count=0)
     target = cold.evolve(generations, free, 0.0)
-    warm = _make_ga(batched=True, kernel="vectorized")
+    warm = _make_ga()
     used = generations
     for generation in range(1, generations + 1):
         if warm.evolve(1, free, 0.0) <= target:
@@ -235,117 +214,6 @@ def bench_ga_warmstart_convergence(generations: int = 25) -> BenchResult:
         detail=f"warm start matched the cold {generations}-generation best "
         f"in {used} generations, 12 tasks, 16 nodes, pop 50",
     )
-
-
-def bench_ga_crossover(batched: bool, n_tasks: int = 30, repeats: int = 7) -> BenchResult:
-    """Children/second of the crossover kernel alone (``_make_children``).
-
-    Times the per-generation child construction — pair decisions, order
-    splice, mask crossover — outside ``evolve``, so the batched-versus-
-    reference ratio is undiluted by the (shared) cost evaluation.
-    """
-    free = [0.0] * 16
-    ga = _make_ga(batched, n_tasks=n_tasks)
-    ga.evolve(2, free, 0.0)  # realistic evolved population
-    n_children = ga.config.population_size - ga.config.elite_count
-    parents = list(range(n_children))
-    calls = 30
-    best = float("inf")
-    for _ in range(repeats):
-        start = time.perf_counter()
-        for _ in range(calls):
-            ga._make_children(parents, n_children)
-        best = min(best, time.perf_counter() - start)
-    kind = "batched" if batched else "reference"
-    return BenchResult(
-        name=f"ga_crossover_{kind}",
-        value=calls * n_children / best,
-        unit="children/s",
-        higher_is_better=True,
-        detail=f"best of {repeats}x{calls} calls, {n_tasks} tasks, "
-        f"16 nodes, {n_children} children/call",
-    )
-
-
-def bench_ga_evaluate_dedup(
-    n_tasks: int = 2, converge_generations: int = 40, calls: int = 40,
-    repeats: int = 7,
-) -> List[BenchResult]:
-    """Population costing on a converged population: reuse layer vs naive.
-
-    Evolves the case-study GA until the population has converged (mostly
-    duplicate individuals), then times repeated costings of that *fixed*
-    population: ``ga_evaluate_full`` runs the vectorised eq.-(8)
-    evaluator over all ``population_size`` individuals,
-    ``ga_evaluate_dedup`` runs the reuse layer exactly as a late
-    generation inside ``evolve`` does — digest, look up the warm
-    evolve-scoped memo, evaluate only novel individuals, scatter.  Both
-    produce bit-identical cost vectors (this is asserted);
-    ``ga_dedup_hit_rate`` reports the reused fraction (memo + in-batch
-    duplicates), so the speedup is attributable, not asserted.
-
-    The default is a **two-task** optimisation set: in the instrumented
-    case study over half of all ``evolve`` calls run with ≤ 2 queued
-    tasks (dispatch launches startable work at every event, keeping
-    queues short), and small solution strings are where the population
-    actually fixates — at 12 tasks the ~1-bit/individual mutation churn
-    keeps ~95 % of individuals distinct and dedup is moot (see
-    docs/performance.md for the measured distribution).
-    """
-    free = [0.0] * 16
-    ga = _make_ga(batched=True, n_tasks=n_tasks)
-    ga.evolve(converge_generations, free, 0.0)
-    pop = ga.config.population_size
-
-    best_full = float("inf")
-    for _ in range(repeats):
-        start = time.perf_counter()
-        for _ in range(calls):
-            full_costs = ga._evaluate(ga._order, ga._masks, free, 0.0)
-        best_full = min(best_full, time.perf_counter() - start)
-
-    memo = {}
-    ga._population_costs(free, 0.0, memo=memo)  # warm the evolve-scoped memo
-    before = ga.stats.snapshot()
-    best_dedup = float("inf")
-    for _ in range(repeats):
-        start = time.perf_counter()
-        for _ in range(calls):
-            dedup_costs = ga._population_costs(free, 0.0, memo=memo)
-        best_dedup = min(best_dedup, time.perf_counter() - start)
-    after = ga.stats.snapshot()
-
-    if not np.array_equal(full_costs, dedup_costs):
-        raise AssertionError("dedup costing diverged from the full evaluation")
-    costed = after["rows_costed"] - before["rows_costed"]
-    evaluated = after["rows_evaluated"] - before["rows_evaluated"]
-    hit_rate = 1.0 - evaluated / costed if costed else 0.0
-
-    # End-to-end observability: the reuse a *real* evolve call achieves on
-    # this converged population (memo starts cold, novel mutants re-cost).
-    before = ga.stats.snapshot()
-    ga.evolve(25, free, 0.0)
-    after = ga.stats.snapshot()
-    evolve_costed = after["rows_costed"] - before["rows_costed"]
-    evolve_evaluated = after["rows_evaluated"] - before["rows_evaluated"]
-    evolve_hit_rate = (
-        1.0 - evolve_evaluated / evolve_costed if evolve_costed else 0.0
-    )
-
-    detail = (
-        f"best of {repeats}x{calls} costings, pop {pop}, {n_tasks} tasks, "
-        f"16 nodes, after {converge_generations} generations"
-    )
-    return [
-        BenchResult("ga_evaluate_full", calls * pop / best_full,
-                    "individuals/s", True, detail),
-        BenchResult("ga_evaluate_dedup", calls * pop / best_dedup,
-                    "individuals/s", True, detail),
-        BenchResult("ga_dedup_hit_rate", hit_rate, "fraction", True, detail),
-        BenchResult("ga_evolve_hit_rate", evolve_hit_rate, "fraction", True,
-                    f"one evolve(25) on the converged population, pop {pop}, "
-                    f"{n_tasks} tasks"),
-    ]
 
 
 def bench_evaluate(repeats: int = 200) -> List[BenchResult]:
@@ -620,10 +488,6 @@ def machine_info() -> Dict[str, object]:
 #: Computed only when both inputs were run (``--only`` subsets skip the
 #: rest).
 DERIVED_RATIOS = {
-    "ga_evolve_speedup": ("ga_evolve_batched", "ga_evolve_reference"),
-    "ga_evolve_vectorized_speedup": ("ga_evolve_vectorized", "ga_evolve_reference"),
-    "ga_crossover_speedup": ("ga_crossover_batched", "ga_crossover_reference"),
-    "ga_evaluate_dedup_speedup": ("ga_evaluate_dedup", "ga_evaluate_full"),
     "evaluate_bulk_speedup": ("evaluate_counts", "evaluate_scalar"),
     "engine_partition_speedup": (
         "engine_events_per_s", "engine_events_per_s_single_heap",
@@ -634,23 +498,10 @@ DERIVED_RATIOS = {
 def _suite_specs(requests: int, jobs: int):
     """(produced names, progress note, thunk) for every benchmark group."""
     return [
-        (("ga_evolve_batched",), "GA evolve (batched kernel)...",
-         lambda: [bench_ga_evolve(batched=True)]),
-        (("ga_evolve_reference",), "GA evolve (per-pair reference kernel)...",
-         lambda: [bench_ga_evolve(batched=False)]),
-        (("ga_evolve_vectorized",), "GA evolve (vectorized array kernel)...",
-         lambda: [bench_ga_evolve(batched=True, kernel="vectorized")]),
-        (("ga_warmstart_convergence",),
-         "warm-start convergence (vectorized kernel)...",
+        (("ga_evolve_vectorized",), "GA evolve...",
+         lambda: [bench_ga_evolve()]),
+        (("ga_warmstart_convergence",), "GA warm-start convergence...",
          lambda: [bench_ga_warmstart_convergence()]),
-        (("ga_crossover_batched", "ga_crossover_reference"),
-         "GA crossover kernel (batched vs reference)...",
-         lambda: [bench_ga_crossover(batched=True),
-                  bench_ga_crossover(batched=False)]),
-        (("ga_evaluate_full", "ga_evaluate_dedup", "ga_dedup_hit_rate",
-          "ga_evolve_hit_rate"),
-         "GA population costing (dedup reuse vs full evaluation)...",
-         bench_ga_evaluate_dedup),
         (("evaluate_scalar", "evaluate_counts"),
          "evaluation engine (scalar vs bulk)...", bench_evaluate),
         (("casestudy_wall",), f"case study wall time ({requests} requests)...",
@@ -731,7 +582,7 @@ def merge_suite_doc(existing: Optional[Dict], fresh: Dict) -> Dict:
     Benchmarks from *fresh* replace their namesakes in *existing*; every
     other committed benchmark is carried over untouched, and the derived
     ratios are recomputed from the merged set so a ``--only`` subset run
-    can refresh e.g. ``ga_evolve_vectorized_speedup`` without re-timing
+    can refresh e.g. ``evaluate_bulk_speedup`` without re-timing
     its denominator.  The ``meta`` block always comes from *fresh* — the
     attribution (git SHA, machine) must describe the newest numbers in
     the file, and carried-over entries keep their per-benchmark

@@ -9,11 +9,12 @@ or deletion of tasks" — :meth:`GAScheduler.add_task` and
 :meth:`GAScheduler.remove_task` repair the live population instead of
 restarting it.
 
-Performance note (see the HPC guides' profile-first rule): the object-level
-operators in :mod:`repro.scheduling.operators` and the scalar schedule
-builder are the *reference* implementation — clear, validated, and used by
-the property tests.  Profiling the case study showed they dominated the run
-time, so the kernel keeps its population packed in NumPy arrays:
+The object-level operators in :mod:`repro.scheduling.operators` and the
+scalar schedule builder state the paper's semantics.  Profiling the case
+study showed that per-individual work dominated the run time, so the
+kernel keeps its population packed in NumPy arrays and runs every
+generation as whole-population array programs
+(:mod:`repro.scheduling.vectorized`):
 
 * ``order``   — ``(P, m)`` task-row indices in execution order;
 * ``masks``   — ``(P, m, n)`` node allocations **keyed by task row**, not by
@@ -21,8 +22,9 @@ time, so the kernel keeps its population packed in NumPy arrays:
   particular task from one generation to the next" across crossover and
   task churn.
 
-Property tests assert the packed evaluator and operators agree with the
-reference implementations.
+Property tests check the packed evaluator and operators against the
+object-level references, and the kernel's schedule quality against a
+per-pair reference GA kept with the tests.
 """
 
 from __future__ import annotations
@@ -32,27 +34,18 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.errors import ScheduleError, ValidationError
+from repro.errors import CheckpointError, ScheduleError, ValidationError
 from repro.obs.records import EvolveStep
 from repro.obs.trace import Tracer
-from repro.scheduling.batched import (
-    batched_insert,
-    batched_mask_crossover,
-    batched_order_splice,
-)
 from repro.scheduling.coding import SolutionString
-from repro.scheduling.evalreuse import (
-    EvalReuseStats,
-    availability_key,
-    packed_digest_buffer,
-)
 from repro.scheduling.cost import CostWeights
+from repro.scheduling.evalreuse import EvalReuseStats, availability_key
 from repro.scheduling.fitness import scale_fitness
-from repro.scheduling.operators import stochastic_remainder_selection
 from repro.scheduling.vectorized import (
     bernoulli_indices,
     vectorized_children,
     vectorized_costs,
+    vectorized_insert,
     vectorized_mutation,
     vectorized_selection,
 )
@@ -85,44 +78,17 @@ class GAConfig:
     idle_weighting: str = "linear"  # "linear" | "uniform" | "exponential"
     #: Memetic refinement: each generation, the best individual's *ordering*
     #: is re-mapped greedily (per-task earliest-free, completion-optimal
-    #: allocation) and the result replaces the worst individual if it wins.
+    #: allocation; recomputed only when that ordering changed) and the
+    #: result replaces the worst individual if it wins.
     #: Compensates for the generation budget an event-driven run has
     #: compared to the paper's continuously evolving GA; ablatable.
     memetic: bool = True
-    #: Use the whole-population batched crossover kernel
-    #: (:mod:`repro.scheduling.batched`).  ``False`` selects the per-pair
-    #: reference kernel.  Both consume the identical RNG stream (all random
-    #: choices are drawn up front, in the reference order), so the two
-    #: settings produce byte-identical populations — the flag exists for
-    #: the property tests and the perf-regression baseline.
-    batched: bool = True
-    #: Evaluation-reuse layer: dedup duplicate individuals before eq.-(8)
-    #: costing, carry elite costs between generations of one ``evolve``
-    #: call, and cache the final cost vector for ``best_solution`` under
-    #: unchanged availability.  eq. (8) is pure and the vectorised
-    #: evaluator is row-independent, so reuse is byte-identical to the
-    #: naive path (property-tested); ``False`` selects the naive
-    #: evaluate-everything reference used by those tests and the perf
-    #: baseline.
-    eval_reuse: bool = True
     #: Convergence early-stop: halt a generation loop after this many
     #: consecutive generations without best-cost improvement.  ``None``
     #: (default) never stops early — the opt-in changes how many
-    #: generations (and RNG draws) a call consumes, so it is off for the
-    #: byte-identical default path.
+    #: generations (and RNG draws) a call consumes.
     early_stop_after: Optional[int] = None
-    #: GA kernel selector: ``None`` (default) derives the kernel from the
-    #: legacy ``batched`` flag; ``"reference"`` / ``"batched"`` name the
-    #: byte-identical per-pair and whole-batch kernels explicitly; and
-    #: ``"vectorized"`` selects the fully array-drawn kernel of
-    #: :mod:`repro.scheduling.vectorized` — whole-population RNG draws,
-    #: children-only costing, and warm-start injection in place of the
-    #: per-generation memetic step.  Byte-identity with the reference
-    #: stream is explicitly relaxed for ``"vectorized"``; the contract is
-    #: schedule-cost parity (best cost ≤ reference at an equal generation
-    #: budget, every individual legitimate — property-tested).
-    kernel: Optional[str] = None
-    #: Vectorized kernel only: number of list-scheduling warm-start seeds
+    #: Number of list-scheduling warm-start seeds
     #: (:mod:`repro.scheduling.warmstart`) injected over the worst
     #: individuals once per ``evolve`` call (``0`` disables injection;
     #: the memetic greedy re-map of the incumbent best rides along as one
@@ -146,18 +112,8 @@ class GAConfig:
             raise ValidationError(f"unknown idle weighting {self.idle_weighting!r}")
         if self.early_stop_after is not None and self.early_stop_after < 1:
             raise ValidationError("early_stop_after must be >= 1 (or None)")
-        if self.kernel not in (None, "reference", "batched", "vectorized"):
-            raise ValidationError(f"unknown kernel {self.kernel!r}")
         if self.warmstart_count < 0:
             raise ValidationError("warmstart_count must be >= 0")
-
-    @property
-    def effective_kernel(self) -> str:
-        """The kernel that will actually run: explicit ``kernel`` wins,
-        otherwise the legacy ``batched`` flag picks batched/reference."""
-        if self.kernel is not None:
-            return self.kernel
-        return "batched" if self.batched else "reference"
 
 
 class GAScheduler:
@@ -174,7 +130,7 @@ class GAScheduler:
     config:
         Kernel tunables.
     duration_row:
-        Optional batched prediction callback ``duration_row(task_id)``
+        Optional whole-row prediction callback ``duration_row(task_id)``
         returning the whole ``[t(1) .. t(n)]`` row at once (e.g. through
         :meth:`repro.pace.evaluation.EvaluationEngine.evaluate_counts`).
         Falls back to *n* scalar ``duration`` calls when omitted.
@@ -270,11 +226,11 @@ class GAScheduler:
 
     @property
     def stats(self) -> EvalReuseStats:
-        """Evaluation-reuse counters (live object; see ``stats.snapshot()``).
+        """Evaluation-reuse counters (live object).
 
-        Dedup hits, elite carries, event-cache hits/misses, and early
-        stops — the observability behind docs/performance.md's measured
-        hit rates.
+        Rows costed and evaluated, elite carries, event-cache
+        hits/misses, warm-start seeds and early stops — the observability
+        behind docs/performance.md's measured hit rates.
         """
         return self._stats
 
@@ -345,15 +301,6 @@ class GAScheduler:
         if np.any(row <= 0) or not np.all(np.isfinite(row)):
             raise ScheduleError(f"durations for task {task_id} must be finite and > 0")
         return row
-
-    def _random_masks(self, shape: Tuple[int, ...]) -> np.ndarray:
-        masks = self._rng.random(shape) < 0.5
-        flat = masks.reshape(-1, self._n)
-        empty = ~flat.any(axis=1)
-        if empty.any():
-            picks = self._rng.integers(self._n, size=int(empty.sum()))
-            flat[np.flatnonzero(empty), picks] = True
-        return masks
 
     def _seed_masks(self, durations: np.ndarray, pop: int) -> np.ndarray:
         """Per-individual initial masks for one new task — ``(pop, n)``.
@@ -428,7 +375,7 @@ class GAScheduler:
         p, m = self._order.shape
         positions = self._rng.integers(0, m + 1, size=p)
         positions[0] = m  # individual 0 keeps arrival order
-        self._order = batched_insert(self._order, positions, new_row)
+        self._order = vectorized_insert(self._order, positions, new_row)
         self._masks = np.concatenate(
             [self._masks, self._seed_masks(durations, p)[:, None, :]], axis=1
         )
@@ -602,73 +549,6 @@ class GAScheduler:
             return None
         return self._cached_costs
 
-    def _population_costs(
-        self,
-        node_free_times: Sequence[float],
-        ref_time: float,
-        *,
-        memo: Optional[Dict[bytes, float]] = None,
-    ) -> np.ndarray:
-        """eq.-(8) costs of the current population, through the reuse layer.
-
-        ``memo`` is the evolve-scoped digest→cost map: every cost
-        computed earlier in the same ``evolve`` call (availability is
-        fixed for the whole call), which subsumes elite carry-forward —
-        elites re-enter the next generation unchanged, so their digests
-        always hit.  Costing then (1) digests every individual in one
-        vectorised pass, (2) looks each digest up in the memo, (3)
-        evaluates only the first occurrence of each unknown digest, and
-        (4) scatters costs back over the whole population.  Because
-        eq. (8) is pure and the vectorised evaluator is row-independent,
-        the result is bit-identical to evaluating everything (see
-        :mod:`repro.scheduling.evalreuse`).  On a converged population
-        nearly every digest hits, so a late-run generation costs a
-        handful of novel schedules instead of ``population_size``.
-        """
-        assert self._order is not None and self._masks is not None
-        if not self._config.eval_reuse:
-            return self._evaluate(self._order, self._masks, node_free_times, ref_time)
-        pop = self._order.shape[0]
-        stats = self._stats
-        stats.rows_costed += pop
-        buffer, stride = packed_digest_buffer(self._order, self._masks)
-        costs = np.empty(pop)
-        unknown = np.zeros(pop, dtype=bool)
-        slot_of = np.empty(pop, dtype=np.int64)
-        eval_rows: List[int] = []
-        eval_keys: List[bytes] = []
-        pending: Dict[bytes, int] = {}
-        for p in range(pop):
-            digest = buffer[p * stride:(p + 1) * stride]
-            if memo is not None:
-                cached = memo.get(digest)
-                if cached is not None:
-                    costs[p] = cached
-                    stats.carry_hits += 1
-                    continue
-            slot = pending.get(digest)
-            if slot is None:
-                slot = len(eval_rows)
-                pending[digest] = slot
-                eval_rows.append(p)
-                eval_keys.append(digest)
-            else:
-                stats.dedup_hits += 1
-            unknown[p] = True
-            slot_of[p] = slot
-        if eval_rows:
-            rows_arr = np.asarray(eval_rows, dtype=np.int64)
-            sub_costs = self._evaluate(
-                self._order[rows_arr], self._masks[rows_arr],
-                node_free_times, ref_time,
-            )
-            stats.rows_evaluated += rows_arr.size
-            costs[unknown] = sub_costs[slot_of[unknown]]
-            if memo is not None:
-                for slot, digest in enumerate(eval_keys):
-                    memo[digest] = float(sub_costs[slot])
-        return costs
-
     def _evaluate(
         self,
         order: np.ndarray,
@@ -676,7 +556,15 @@ class GAScheduler:
         node_free_times: Sequence[float],
         ref_time: float,
     ) -> np.ndarray:
-        """Vectorised eq.-(8) cost of every individual in (order, masks).
+        """Row-major eq.-(8) cost of every individual in (order, masks).
+
+        The evaluator for workflow-constrained populations: it carries a
+        per-row completion track, so precedence and start-time floors
+        bind (:meth:`_vector_costs` routes constrained costings here).
+        It also serves the property tests as the long-validated reference
+        for :func:`~repro.scheduling.vectorized.vectorized_costs`.  Every
+        reduction runs within one individual, so a row's cost does not
+        depend on the batch it is costed in.
 
         Scratch buffers (``free``/``scratch``/``gap``/``has_gap``/
         ``pocket``) are allocated once per call and reused across all *m*
@@ -779,176 +667,6 @@ class GAScheduler:
         w = self._config.weights
         return (w.makespan * omega + w.idle * phi + w.deadline * theta) / w.total
 
-    # --------------------------------------------------------------- operators
-
-    def _crossover_pair(
-        self,
-        pa: int,
-        pb: int,
-        order: np.ndarray,
-        masks: np.ndarray,
-        cut: int,
-        point: int,
-    ) -> Tuple[Tuple[np.ndarray, np.ndarray], Tuple[np.ndarray, np.ndarray]]:
-        """Two-part crossover of individuals *pa*, *pb* (per-pair reference).
-
-        Ordering: splice at *cut* (both directions).  Mapping: flatten each
-        parent's masks *in the child's task order*, single-point binary
-        crossover at the shared *point*, un-flatten keyed by row.  This is
-        the reference kernel the batched operators are validated against
-        (``GAConfig(batched=False)`` routes ``evolve`` through it).
-        """
-        m, n = masks.shape[1], masks.shape[2]
-        oa, ob = order[pa], order[pb]
-
-        def splice(head_src: np.ndarray, tail_src: np.ndarray) -> np.ndarray:
-            head = head_src[:cut]
-            # Membership via a row-indexed lookup table: rows are 0..m−1, so
-            # this is O(m) versus np.isin's sort-based path.
-            in_head = np.zeros(m, dtype=bool)
-            in_head[head] = True
-            tail = tail_src[~in_head[tail_src]]
-            return np.concatenate([head, tail])
-
-        c1_order = splice(oa, ob)
-        c2_order = splice(ob, oa)
-
-        def cross_maps(
-            child_order: np.ndarray, first: np.ndarray, second: np.ndarray
-        ) -> np.ndarray:
-            flat_first = first[child_order].reshape(-1)
-            flat_second = second[child_order].reshape(-1)
-            child_flat = np.concatenate([flat_first[:point], flat_second[point:]])
-            by_position = child_flat.reshape(m, n)
-            child_masks = np.empty_like(first)
-            child_masks[child_order] = by_position
-            return child_masks
-
-        c1_masks = cross_maps(c1_order, masks[pa], masks[pb])
-        c2_masks = cross_maps(c2_order, masks[pb], masks[pa])
-        return (c1_order, c1_masks), (c2_order, c2_masks)
-
-    def _make_children(
-        self, parents: Sequence[int], n_children: int
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        """The next generation's non-elite individuals — ``(order, masks)``.
-
-        Consecutive selected parents are paired; each pair crosses over
-        with ``crossover_probability`` or is copied through.  All random
-        choices are drawn *up front*, scalar, in the reference order (pair
-        decision, then cut, then point, per pair) so the batched and
-        per-pair kernels consume one identical RNG stream and produce
-        byte-identical children.
-        """
-        assert self._order is not None and self._masks is not None
-        cfg = self._config
-        m = len(self._id_order)
-        n = self._n
-        pair_count = len(parents) // 2
-        do_cross = np.zeros(pair_count, dtype=bool)
-        cuts = np.zeros(pair_count, dtype=np.int64)
-        points = np.zeros(pair_count, dtype=np.int64)
-        for i in range(pair_count):
-            if self._rng.random() < cfg.crossover_probability:
-                do_cross[i] = True
-                cuts[i] = self._rng.integers(0, m + 1)
-                points[i] = self._rng.integers(0, m * n + 1)
-        pa = np.asarray(parents[: 2 * pair_count : 2], dtype=np.int64)
-        pb = np.asarray(parents[1 : 2 * pair_count : 2], dtype=np.int64)
-        total = 2 * pair_count + (len(parents) % 2)
-        child_order = np.empty((total, m), dtype=self._order.dtype)
-        child_masks = np.empty((total, m, n), dtype=bool)
-        if cfg.effective_kernel == "reference":
-            self._children_reference(
-                child_order, child_masks, pa, pb, do_cross, cuts, points
-            )
-        else:
-            self._children_batched(
-                child_order, child_masks, pa, pb, do_cross, cuts, points
-            )
-        if len(parents) % 2 == 1:
-            leftover = parents[-1]
-            child_order[-1] = self._order[leftover]
-            child_masks[-1] = self._masks[leftover]
-        return child_order[:n_children], child_masks[:n_children]
-
-    def _children_batched(
-        self,
-        child_order: np.ndarray,
-        child_masks: np.ndarray,
-        pa: np.ndarray,
-        pb: np.ndarray,
-        do_cross: np.ndarray,
-        cuts: np.ndarray,
-        points: np.ndarray,
-    ) -> None:
-        """Fill children slots ``2i``/``2i+1`` with whole-batch array ops."""
-        assert self._order is not None and self._masks is not None
-        order, masks = self._order, self._masks
-        plain = np.flatnonzero(~do_cross)
-        if plain.size:
-            child_order[2 * plain] = order[pa[plain]]
-            child_order[2 * plain + 1] = order[pb[plain]]
-            child_masks[2 * plain] = masks[pa[plain]]
-            child_masks[2 * plain + 1] = masks[pb[plain]]
-        crossed = np.flatnonzero(do_cross)
-        if crossed.size:
-            oa, ob = order[pa[crossed]], order[pb[crossed]]
-            ma, mb = masks[pa[crossed]], masks[pb[crossed]]
-            c1 = batched_order_splice(oa, ob, cuts[crossed])
-            c2 = batched_order_splice(ob, oa, cuts[crossed])
-            child_order[2 * crossed] = c1
-            child_order[2 * crossed + 1] = c2
-            child_masks[2 * crossed] = batched_mask_crossover(
-                c1, ma, mb, points[crossed]
-            )
-            child_masks[2 * crossed + 1] = batched_mask_crossover(
-                c2, mb, ma, points[crossed]
-            )
-
-    def _children_reference(
-        self,
-        child_order: np.ndarray,
-        child_masks: np.ndarray,
-        pa: np.ndarray,
-        pb: np.ndarray,
-        do_cross: np.ndarray,
-        cuts: np.ndarray,
-        points: np.ndarray,
-    ) -> None:
-        """Per-pair reference kernel (the seed implementation's loop)."""
-        assert self._order is not None and self._masks is not None
-        for i in range(pa.size):
-            a, b = int(pa[i]), int(pb[i])
-            if do_cross[i]:
-                (o1, m1), (o2, m2) = self._crossover_pair(
-                    a, b, self._order, self._masks, int(cuts[i]), int(points[i])
-                )
-            else:
-                o1, m1 = self._order[a], self._masks[a]
-                o2, m2 = self._order[b], self._masks[b]
-            child_order[2 * i], child_masks[2 * i] = o1, m1
-            child_order[2 * i + 1], child_masks[2 * i + 1] = o2, m2
-
-    def _mutate_population(self, order: np.ndarray, masks: np.ndarray) -> None:
-        """In-place two-part mutation: order swaps + mapping bit flips."""
-        cfg = self._config
-        pop, m = order.shape
-        n = masks.shape[2]
-        if m >= 2 and cfg.swap_probability > 0:
-            swap = self._rng.random(pop) < cfg.swap_probability
-            for p in np.flatnonzero(swap):
-                i, j = self._rng.choice(m, size=2, replace=False)
-                order[p, i], order[p, j] = order[p, j], order[p, i]
-        if cfg.bitflip_probability > 0:
-            flips = self._rng.random(masks.shape) < cfg.bitflip_probability
-            masks ^= flips
-        flat = masks.reshape(-1, n)
-        empty = ~flat.any(axis=1)
-        if empty.any():
-            picks = self._rng.integers(n, size=int(empty.sum()))
-            flat[np.flatnonzero(empty), picks] = True
-
     def greedy_mapping(
         self, order_row: np.ndarray, node_free_times: Sequence[float], ref_time: float
     ) -> np.ndarray:
@@ -968,43 +686,6 @@ class GAScheduler:
 
     # --------------------------------------------------------------- evolution
 
-    def _memetic_step(
-        self,
-        costs: np.ndarray,
-        node_free_times: Sequence[float],
-        ref_time: float,
-        memo: Optional[Dict[bytes, float]] = None,
-    ) -> np.ndarray:
-        """Replace the worst individual with the greedy re-map of the best."""
-        assert self._order is not None and self._masks is not None
-        best = int(np.argmin(costs))
-        worst = int(np.argmax(costs))
-        if best == worst:
-            return costs
-        candidate_masks = self.greedy_mapping(
-            self._order[best], node_free_times, ref_time
-        )
-        cand_cost = self._evaluate(
-            self._order[best : best + 1],
-            candidate_masks[None, :, :],
-            node_free_times,
-            ref_time,
-        )[0]
-        if cand_cost < costs[worst]:
-            self._order[worst] = self._order[best]
-            self._masks[worst] = candidate_masks
-            costs = costs.copy()
-            costs[worst] = cand_cost
-            if memo is not None:
-                # The injected individual is likely to elite its way into
-                # the next generation; remember its (already computed) cost.
-                digest, _ = packed_digest_buffer(
-                    self._order[worst : worst + 1],
-                    self._masks[worst : worst + 1],
-                )
-                memo[digest] = float(cand_cost)
-        return costs
-
     def _vector_costs(
         self,
         order: np.ndarray,
@@ -1014,9 +695,12 @@ class GAScheduler:
     ) -> np.ndarray:
         """eq.-(8) costs through the lean whole-population evaluator.
 
-        Workflow constraints route through :meth:`_evaluate` instead —
-        the lean evaluator has no completion track, and the vectorized
-        kernel's contract is cost parity, not a particular code path.
+        The one costing path of the kernel: ``evolve``, ``best_solution``
+        and ``cost_of`` all go through it, so the incumbent is always
+        chosen under the same rounding it was evolved under.  Workflow
+        constraints route to :meth:`_evaluate` — the lean evaluator has no
+        completion track.  Either way a row's cost is independent of the
+        batch it is costed in.
         """
         pred_mat, floor_vec = self._constraint_arrays()
         if pred_mat is not None or floor_vec is not None:
@@ -1041,16 +725,13 @@ class GAScheduler:
     ) -> np.ndarray:
         """Replace the worst individuals with winning list-scheduling seeds.
 
-        The vectorized kernel's once-per-``evolve`` analogue of the
-        per-generation memetic step: build ``warmstart_count`` seeds
+        Once per ``evolve`` call: build ``warmstart_count`` seeds
         (:func:`repro.scheduling.warmstart.warmstart_population`) plus —
         while ``memetic`` is on — the greedy re-map of the incumbent best
         ordering, cost them all in one evaluator call, and replace the
         worst individuals pairwise (best seed against worst incumbent)
         wherever the seed wins.  With elitism this bounds the kernel's
-        best cost by the best greedy schedule from generation 0 on, which
-        is what makes the cost-parity gate hold without per-generation
-        greedy re-maps.
+        best cost by the best greedy schedule from generation 0 on.
         """
         assert self._order is not None and self._masks is not None
         cfg = self._config
@@ -1098,7 +779,7 @@ class GAScheduler:
             self._stats.warmstart_seeds += int(take.sum())
         return costs
 
-    def _memetic_vectorized(
+    def _memetic_candidate(
         self,
         costs: np.ndarray,
         cached: Optional[Tuple[np.ndarray, np.ndarray, float]],
@@ -1107,11 +788,10 @@ class GAScheduler:
     ) -> Tuple[np.ndarray, Optional[Tuple[np.ndarray, np.ndarray, float]]]:
         """The memetic step with the candidate cached between generations.
 
-        The reference kernel greedily re-maps the incumbent best ordering
-        *every* generation and injects the result over the worst
-        individual.  The greedy re-map is a pure function of (ordering,
-        availability) and availability is fixed within one ``evolve``
-        call, so this keeps the last ``(ordering, masks, cost)`` candidate
+        The greedy re-map of the incumbent best ordering is injected over
+        the worst individual whenever it wins.  The re-map is a pure
+        function of (ordering, availability) and availability is fixed
+        within one ``evolve`` call, so this keeps the last ``(ordering, masks, cost)`` candidate
         and only recomputes when the incumbent's ordering changed — on a
         converged population almost never.  Re-*injection* over the worst
         individual still happens every generation the candidate wins
@@ -1123,9 +803,7 @@ class GAScheduler:
         best = int(np.argmin(costs))
         border = self._order[best]
         if cached is None or not np.array_equal(border, cached[0]):
-            cand_masks = greedy_allocation_masks(
-                border, self._dtable, node_free_times, ref_time
-            )
+            cand_masks = self.greedy_mapping(border, node_free_times, ref_time)
             cand_cost = float(
                 self._vector_costs(
                     border[None, :], cand_masks[None, :, :],
@@ -1143,37 +821,42 @@ class GAScheduler:
             costs[worst] = cand_cost
         return costs, cached
 
-    def _evolve_vectorized(
+    def evolve(
         self,
         generations: int,
         node_free_times: Sequence[float],
         ref_time: float,
     ) -> float:
-        """The ``kernel="vectorized"`` generation loop (see module notes).
+        """Advance the population *generations* steps; returns the best cost.
 
-        Structurally the same cost → fitness → elites → selection →
-        crossover → mutation cycle as the reference loop, with three
-        deliberate differences:
+        A generation is: scale costs to fitness (eq. 9) → carry elites →
+        stochastic-remainder selection → pairwise two-part crossover →
+        two-part mutation → cost the children (eq. 8) → memetic step.
+        Around that loop:
 
         * **children-only costing** — elites re-enter unchanged, so their
-          costs are carried structurally (counted as ``carry_hits``)
-          instead of re-derived through the digest memo;
-        * **array-drawn randomness** — a fixed number of RNG calls per
-          generation (see :mod:`repro.scheduling.vectorized`), which is
-          why this kernel's stream diverges from the reference;
-        * **warm-start injection once per call** in place of the
-          per-generation memetic re-map.
+          costs are carried forward (counted as ``carry_hits``);
+        * **array-drawn randomness** — positional choices are drawn in
+          blocks of up to 32 generations, so RNG dispatch is O(1) per
+          generation (see :mod:`repro.scheduling.vectorized`);
+        * **warm-start injection once per call** — list-scheduling seeds
+          and the greedy re-map of the incumbent replace losing
+          individuals before the first generation;
+        * the **memetic re-map** re-runs only when the incumbent's
+          ordering changed — it is a pure function of (ordering,
+          availability), so repeating it on an unchanged ordering cannot
+          produce a new candidate.
 
-        In-batch dedup is deliberately skipped: at case-study sizes the
-        digest loop costs more than the evaluations it saves, and the
-        lean evaluator makes redundant rows cheap (docs/performance.md).
-        The memetic refinement survives in two cheaper forms: the greedy
-        re-map of the incumbent best rides the warm-start injection, and
-        per generation it re-runs **only when the incumbent's ordering
-        changed** — the greedy re-map is a pure function of (ordering,
-        availability), so repeating it on an unchanged ordering cannot
-        produce a new candidate.
+        The final cost vector is retained so an immediately following
+        :meth:`best_solution` under the same availability pays no extra
+        evaluation.  With ``GAConfig(early_stop_after=K)`` (off by
+        default) the loop halts after K consecutive generations without
+        best-cost improvement.
         """
+        if generations < 0:
+            raise ValidationError(f"generations must be >= 0, got {generations}")
+        if self._order is None:
+            return 0.0
         assert self._order is not None and self._masks is not None
         cfg = self._config
         stats = self._stats
@@ -1260,7 +943,7 @@ class GAScheduler:
                 stats.rows_evaluated += n_children
                 stats.carry_hits += elite_idx.size
                 if cfg.memetic:
-                    costs, last_memetic = self._memetic_vectorized(
+                    costs, last_memetic = self._memetic_candidate(
                         costs, last_memetic, node_free_times, ref_time
                     )
                 self._generations += 1
@@ -1277,8 +960,7 @@ class GAScheduler:
                             stop = True
                             break
             done += block
-        if cfg.eval_reuse:
-            self._store_cost_cache(costs, node_free_times, ref_time)
+        self._store_cost_cache(costs, node_free_times, ref_time)
         best_cost = float(costs.min())
         if self._tracer is not None:
             self._tracer.emit(
@@ -1291,96 +973,6 @@ class GAScheduler:
                     history=tuple(
                         best for _, best in self._history[history_before:]
                     ),
-                    kernel="vectorized",
-                )
-            )
-        return best_cost
-
-    def evolve(
-        self,
-        generations: int,
-        node_free_times: Sequence[float],
-        ref_time: float,
-    ) -> float:
-        """Advance the population *generations* steps; returns the best cost.
-
-        A generation is: cost the population (eq. 8) → scale to fitness
-        (eq. 9) → carry elites → stochastic-remainder selection → pairwise
-        two-part crossover → two-part mutation.
-
-        Under ``GAConfig(eval_reuse=True)`` (the default) each costing
-        deduplicates identical individuals and the elites carried into a
-        new generation keep their previous costs (availability is fixed
-        within one call), which is byte-identical to evaluating everything
-        — populations, RNG stream, and cost history match the
-        ``eval_reuse=False`` reference bit for bit.  The final cost vector
-        is retained so an immediately following :meth:`best_solution`
-        under the same availability pays no extra evaluation.  With
-        ``GAConfig(early_stop_after=K)`` (off by default) the loop halts
-        after K consecutive generations without best-cost improvement.
-        """
-        if generations < 0:
-            raise ValidationError(f"generations must be >= 0, got {generations}")
-        if self._order is None:
-            return 0.0
-        assert self._masks is not None
-        cfg = self._config
-        if cfg.effective_kernel == "vectorized":
-            return self._evolve_vectorized(generations, node_free_times, ref_time)
-        self._invalidate_cost_cache()
-        # The evolve-scoped digest→cost memo: availability is fixed for
-        # the whole call, so every cost computed in one generation is
-        # reusable in every later one — elites carry their costs forward,
-        # and on a converged population most children are re-creations of
-        # already-costed individuals.
-        memo: Optional[Dict[bytes, float]] = {} if cfg.eval_reuse else None
-        generations_before = self._generations
-        history_before = len(self._history)
-        costs = self._population_costs(node_free_times, ref_time, memo=memo)
-        if cfg.memetic:
-            costs = self._memetic_step(costs, node_free_times, ref_time, memo)
-        best_seen = float(costs.min())
-        stalled = 0
-        for _ in range(generations):
-            fitness = scale_fitness(costs)
-            elite_idx = np.argsort(costs, kind="stable")[: cfg.elite_count]
-            n_children = cfg.population_size - elite_idx.size
-            parents = stochastic_remainder_selection(fitness, n_children, self._rng)
-            new_order, new_masks = self._make_children(parents, n_children)
-            self._mutate_population(new_order, new_masks)
-            self._repair_orders(new_order)
-            self._order = np.concatenate([self._order[elite_idx], new_order])
-            self._masks = np.concatenate([self._masks[elite_idx], new_masks])
-            self._generations += 1
-            costs = self._population_costs(node_free_times, ref_time, memo=memo)
-            if cfg.memetic:
-                costs = self._memetic_step(costs, node_free_times, ref_time, memo)
-            self._history.append((self._generations, float(costs.min())))
-            if cfg.early_stop_after is not None:
-                new_best = float(costs.min())
-                if new_best < best_seen:
-                    best_seen = new_best
-                    stalled = 0
-                else:
-                    stalled += 1
-                    if stalled >= cfg.early_stop_after:
-                        self._stats.early_stops += 1
-                        break
-        if cfg.eval_reuse:
-            self._store_cost_cache(costs, node_free_times, ref_time)
-        best_cost = float(costs.min())
-        if self._tracer is not None:
-            self._tracer.emit(
-                EvolveStep(
-                    t=float(ref_time),
-                    resource=self._trace_name,
-                    n_tasks=self.n_tasks,
-                    generations=self._generations - generations_before,
-                    best_cost=best_cost,
-                    history=tuple(
-                        best for _, best in self._history[history_before:]
-                    ),
-                    kernel=cfg.effective_kernel,
                 )
             )
         return best_cost
@@ -1390,56 +982,30 @@ class GAScheduler:
     ) -> SolutionString:
         """The lowest-cost individual under the given availability.
 
-        With ``eval_reuse`` on, the cost vector retained by the last
-        :meth:`evolve` (or ``best_solution``) call is reused when the
-        population and the availability key are unchanged — a scheduling
-        event's ``evolve`` → dispatch → ``best_solution`` sequence then
-        pays no second full evaluation.  Any ``add_task`` /
-        ``remove_task`` / availability change recomputes.
+        The cost vector retained by the last :meth:`evolve` (or
+        ``best_solution``) call is reused when the population and the
+        availability key are unchanged — a scheduling event's ``evolve`` →
+        dispatch → ``best_solution`` sequence then pays no second full
+        evaluation.  Any ``add_task`` / ``remove_task`` / availability
+        change recomputes through :meth:`_vector_costs`, the evaluator
+        ``evolve`` uses, so a recomputed vector is bit-identical to the
+        one it replaces.
         """
         if self._order is None:
             raise ScheduleError("population is empty (no tasks)")
         assert self._masks is not None
-        if self._config.eval_reuse:
-            costs = self._cached_costs_for(node_free_times, ref_time)
-            if costs is not None:
-                self._stats.event_cache_hits += 1
-            else:
-                self._stats.event_cache_misses += 1
-                costs = self._population_costs(node_free_times, ref_time)
-                self._store_cost_cache(costs, node_free_times, ref_time)
+        costs = self._cached_costs_for(node_free_times, ref_time)
+        if costs is not None:
+            self._stats.event_cache_hits += 1
         else:
-            costs = self._evaluate(self._order, self._masks, node_free_times, ref_time)
+            self._stats.event_cache_misses += 1
+            costs = self._vector_costs(
+                self._order, self._masks, node_free_times, ref_time
+            )
+            self._stats.rows_costed += costs.size
+            self._stats.rows_evaluated += costs.size
+            self._store_cost_cache(costs, node_free_times, ref_time)
         return self._solution_at(int(np.argmin(costs)))
-
-    def reference_cost(
-        self,
-        solution: SolutionString,
-        node_free_times: Sequence[float],
-        ref_time: float,
-    ) -> float:
-        """Scalar (non-vectorised) eq.-(8) cost of one solution.
-
-        The reference implementation used by tests to validate the
-        vectorised evaluator.
-        """
-        from repro.scheduling.cost import IDLE_WEIGHTERS, schedule_cost
-        from repro.scheduling.schedule import build_schedule
-
-        schedule = build_schedule(
-            solution,
-            node_free_times,
-            lambda tid, k: float(self._dtable[self._require_row(tid)][k - 1]),
-            ref_time=ref_time,
-        )
-        deadlines = {tid: float(self._deadline_arr[r]) for tid, r in self._row_of.items()}
-        breakdown = schedule_cost(
-            schedule,
-            deadlines,
-            self._config.weights,
-            idle_weighter=IDLE_WEIGHTERS[self._config.idle_weighting],
-        )
-        return breakdown.combined
 
     def cost_of(
         self,
@@ -1447,12 +1013,16 @@ class GAScheduler:
         node_free_times: Sequence[float],
         ref_time: float,
     ) -> float:
-        """Vectorised eq.-(8) cost of one externally supplied solution."""
+        """eq.-(8) cost of one externally supplied solution.
+
+        Costed through :meth:`_vector_costs`, so a population member's
+        cost here equals its entry in :attr:`last_costs` bit for bit.
+        """
         order = np.array([[self._require_row(t) for t in solution.ordering]])
         masks = np.zeros((1, self.n_tasks, self._n), dtype=bool)
         for tid in solution.ordering:
             masks[0, self._row_of[tid]] = solution.mask(tid)
-        return float(self._evaluate(order, masks, node_free_times, ref_time)[0])
+        return float(self._vector_costs(order, masks, node_free_times, ref_time)[0])
 
     # ------------------------------------------------------------- checkpoint
 
@@ -1468,7 +1038,6 @@ class GAScheduler:
         from repro.checkpoint.codec import encode_ndarray
 
         state = {
-            "kernel": self._config.effective_kernel,
             "id_order": list(self._id_order),
             "dtable": encode_ndarray(self._dtable),
             "deadlines": [float(d) for d in self._deadline_arr],
@@ -1506,24 +1075,19 @@ class GAScheduler:
     def restore_state(self, state: dict) -> None:
         """Rebuild the population exactly as snapshot (RNG restored elsewhere).
 
-        The batched and reference kernels share one RNG protocol and are
-        byte-identical, so snapshots move freely between them (and old
-        snapshots without a ``kernel`` key are one of the two).  The
-        vectorized kernel consumes a different stream, so crossing the
-        vectorized/byte-identical boundary in either direction is refused
-        — a resumed run would silently diverge from its uninterrupted
-        twin.
+        Snapshots written while the kernel was selectable carry a
+        ``kernel`` tag.  Each of those kernels consumed the RNG stream
+        differently from this one, so a resumed run would silently diverge
+        from its uninterrupted twin: such a snapshot is refused with a
+        :class:`~repro.errors.CheckpointError` naming its kernel.
         """
         from repro.checkpoint.codec import decode_ndarray
 
-        snap_kernel = state.get("kernel")
-        current = self._config.effective_kernel
-        if snap_kernel is not None and snap_kernel != current:
-            if "vectorized" in (snap_kernel, current):
-                raise ScheduleError(
-                    f"snapshot was taken under kernel {snap_kernel!r}, "
-                    f"scheduler is configured for {current!r}"
-                )
+        if "kernel" in state:
+            raise CheckpointError(
+                f"GA snapshot was taken under the retired {state['kernel']!r} "
+                "kernel; this build has a single GA kernel and cannot resume it"
+            )
         self._id_order = [int(t) for t in state["id_order"]]
         self._row_of = {tid: row for row, tid in enumerate(self._id_order)}
         self._dtable = decode_ndarray(state["dtable"])

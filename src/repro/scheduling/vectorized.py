@@ -1,42 +1,34 @@
-"""The fully vectorised GA kernel: whole-population operators, lean costing.
+"""The GA kernel's operators and evaluator: whole-population array programs.
 
-The batched kernel (:mod:`repro.scheduling.batched`) vectorised the
-crossover *arithmetic* but kept the reference RNG protocol — every pair
-decision, cut and point drawn scalar, in per-pair order — because its
-contract is byte-identity with the per-pair kernel.  Profiling shows that
-at case-study sizes (pop 50, m ≈ 12, n = 16) the remaining cost of a
-generation is almost entirely **python/numpy call overhead**, not array
-arithmetic: scalar RNG draws, the per-individual digest loop, the
-per-generation memetic re-map, and a second full eq.-(8) evaluation for
-the memetic candidate.
-
-This module is the kernel with that overhead designed out, selected with
-``GAConfig(kernel="vectorized")``:
+At case-study sizes (pop 50, m ≈ 12, n = 16) the cost of a generation is
+almost entirely **python/numpy call overhead**, not array arithmetic, so
+every piece of the generation loop in
+:meth:`GAScheduler.evolve <repro.scheduling.ga.GAScheduler.evolve>` works
+on the whole population at once:
 
 * operators are **pure array programs over the whole population**: the
   random choices (pair decisions, cuts, points, swap positions, bit
-  flips) are *arguments*, drawn by the caller as arrays — the evolve
-  loop draws them in multi-generation blocks, so RNG dispatch is O(1)
-  per generation;
-* :func:`vectorized_costs` is a re-derived eq.-(8) evaluator that keeps
-  its per-node state **node-major** (``(n, P)``) so the per-step masked
+  flips, insert positions) are *arguments*, drawn by the caller as
+  arrays — the evolve loop draws them in multi-generation blocks, so RNG
+  dispatch is O(1) per generation;
+* :func:`vectorized_costs` is an eq.-(8) evaluator that keeps its
+  per-node state **node-major** (``(n, P)``) so the per-step masked
   maximum reduces along axis 0 of a contiguous array — measured ~3×
   cheaper than the row-major reduction at case-study sizes — and defers
   all idle-pocket accounting to whole-cube operations after the walk;
 * cost evaluation runs once per generation over the **children only** —
-  elites carry their costs forward structurally (the vectorised analogue
-  of the eval-reuse memo).
+  elites carry their costs forward structurally.
 
-Byte-identity with the reference kernel is **explicitly relaxed**: this
-kernel consumes a different RNG stream and reorders float arithmetic.
-The gate is *schedule-cost parity* instead — at an equal generation
-budget the vectorised kernel's best cost must not exceed the reference
-kernel's, and every individual must stay a legitimate solution
-(property-tested; see docs/performance.md).
+The object-level operators in :mod:`repro.scheduling.operators` state the
+paper's semantics; the property tests check these array forms against
+them and check the kernel's schedule quality against a per-pair reference
+GA kept with the tests (see docs/performance.md).
 
 Shape conventions match the packed population of
 :class:`~repro.scheduling.ga.GAScheduler`: orderings are ``(P, m)`` row
-permutations, masks are ``(P, m, n)`` bool cubes keyed by task row.
+permutations, masks are ``(P, m, n)`` bool cubes keyed by task row (not
+by position), preserving "the node mapping associated with a particular
+task from one generation to the next".
 """
 
 from __future__ import annotations
@@ -46,10 +38,12 @@ from typing import Optional, Sequence
 import numpy as np
 
 from repro.errors import ScheduleError
-from repro.scheduling.batched import _mask_crossover_core, _order_splice_core
 
 __all__ = [
     "bernoulli_indices",
+    "vectorized_order_splice",
+    "vectorized_mask_crossover",
+    "vectorized_insert",
     "vectorized_selection",
     "vectorized_children",
     "vectorized_mutation",
@@ -80,6 +74,103 @@ def bernoulli_indices(
         more = np.cumsum(rng.geometric(p, size=chunk)) + positions[-1]
         positions = np.concatenate([positions, more])
     return positions[: np.searchsorted(positions, total)]
+
+
+def vectorized_order_splice(
+    orders_a: np.ndarray, orders_b: np.ndarray, cuts: np.ndarray
+) -> np.ndarray:
+    """Splice each pair of orderings at its cut — ``(B, m)``.
+
+    For every batch row ``b`` the child is ``orders_a[b, :cuts[b]]``
+    followed by the remaining rows in ``orders_b[b]``'s order, exactly as
+    :func:`repro.scheduling.operators.order_splice` builds it.  Membership
+    of the head is resolved through a scattered lookup table rather than a
+    per-pair ``np.isin``, so the whole batch is O(B·m).  *cuts* is
+    ``(B,)`` in ``0..m``.
+    """
+    batch, m = orders_a.shape
+    positions = np.arange(m)
+    rows = np.arange(batch)[:, None]
+    head_mask = positions[None, :] < cuts[:, None]  # (B, m)
+    # Row-indexed lookup table: in_head[b, r] == r appears in a's head.
+    in_head = np.zeros((batch, m), dtype=bool)
+    in_head[rows, orders_a] = head_mask
+    keep = ~in_head[rows, orders_b]  # b's rows to keep
+    # Kept elements of b land after the head, preserving b's order; they
+    # fill every tail slot exactly (m − cut kept rows per pair), so the
+    # scatter below covers everything the head copy leaves unset.
+    dest = cuts[:, None] + np.cumsum(keep, axis=1) - 1
+    children = np.empty_like(orders_a)
+    np.copyto(children, orders_a, where=head_mask)
+    b_idx, j_idx = np.nonzero(keep)
+    children[b_idx, dest[b_idx, j_idx]] = orders_b[b_idx, j_idx]
+    return children
+
+
+def vectorized_mask_crossover(
+    child_orders: np.ndarray,
+    masks_first: np.ndarray,
+    masks_second: np.ndarray,
+    points: np.ndarray,
+) -> np.ndarray:
+    """Single-point mask crossover for a batch of children, keyed by row.
+
+    The paper's mapping crossover gathers each parent's row-keyed masks
+    *in the child's task order* ("reordering ... necessary to preserve the
+    node mapping associated with a particular task"), crosses the
+    flattened strings at the shared point, and scatters back under row
+    keys.  Row ``r``'s bit for node ``j`` therefore comes from
+    *masks_first* exactly when ``pos(r) * n + j < point``, where
+    ``pos(r)`` is ``r``'s position in the child ordering — so the whole
+    gather/cross/scatter collapses to one inverse permutation and a masked
+    copy over the row-keyed masks.  *points* is ``(B,)`` in ``0..m*n``.
+
+    Empty-mask repair is *not* applied here; the mutation step owns the
+    legitimacy repair.
+    """
+    batch, m, n = masks_first.shape
+    rows = np.arange(batch)[:, None]
+    inverse = np.empty((batch, m), dtype=np.int32)
+    inverse[rows, child_orders] = np.arange(m, dtype=np.int32)[None, :]
+    # Flat crossover-string index of (task row r, node j): pos(r)*n + j.
+    # ``pos*n + j < point`` ⟺ ``pos < ceil((point − j) / n)``, so the cut
+    # collapses to a per-(pair, node) position threshold — two small
+    # ``(B, n)`` integer ops instead of materialising the flat index as an
+    # ``(B, m, n)`` cube.  The suffix copy + masked prefix overwrite
+    # replaces ``np.where``, which benchmarks ~4× slower on broadcast
+    # operands at these sizes.
+    thresholds = (points[:, None] - np.arange(n, dtype=np.int32) + n - 1) // n
+    children = masks_second.copy()
+    np.copyto(
+        children,
+        masks_first,
+        where=inverse[:, :, None] < thresholds.astype(np.int32)[:, None, :],
+    )
+    return children
+
+
+def vectorized_insert(
+    orders: np.ndarray, positions: np.ndarray, value: int
+) -> np.ndarray:
+    """Insert *value* into every ordering at its per-row position.
+
+    Row ``i`` of the result equals ``np.insert(orders[i], positions[i],
+    value)``; *positions* is ``(B,)`` in ``0..m``.  This is how
+    :meth:`GAScheduler.add_task` splices a new task's row into the live
+    population.
+    """
+    batch, m = orders.shape
+    if m == 0:
+        return np.full((batch, 1), value, dtype=orders.dtype)
+    out_pos = np.arange(m + 1)
+    before = out_pos[None, :] < positions[:, None]
+    # Source column: k for the prefix, k-1 for the suffix; the insert slot
+    # itself is overwritten below, so its clipped gather value is irrelevant.
+    src = np.where(before, out_pos[None, :], out_pos[None, :] - 1)
+    src = np.clip(src, 0, m - 1)
+    children = orders[np.arange(batch)[:, None], src]
+    children[out_pos[None, :] == positions[:, None]] = value
+    return children
 
 
 def vectorized_selection(
@@ -131,8 +222,8 @@ def vectorized_children(
 ) -> tuple:
     """The next generation's non-elite individuals, built batch-at-once.
 
-    Consecutive selected *parents* pair up exactly as in the reference
-    kernel; ``do_cross``/``cuts``/``points`` are the per-pair random
+    Consecutive selected *parents* pair up, as in the paper's pairwise
+    crossover; ``do_cross``/``cuts``/``points`` are the per-pair random
     choices, drawn by the caller as arrays (the evolve loop draws them in
     multi-generation blocks).  Both crossover directions go through a
     single fused order-splice / mask-crossover invocation — the a-head
@@ -156,8 +247,8 @@ def vectorized_children(
     head_orders = order[heads]
     head_masks = masks[heads]
     cuts2 = np.concatenate([cuts, cuts])
-    child_order = _order_splice_core(head_orders, order[tails], cuts2)
-    child_masks = _mask_crossover_core(
+    child_order = vectorized_order_splice(head_orders, order[tails], cuts2)
+    child_masks = vectorized_mask_crossover(
         child_order, head_masks, masks[tails], np.concatenate([points, points])
     )
     plain = np.flatnonzero(~np.concatenate([do_cross, do_cross]))
@@ -185,7 +276,8 @@ def vectorized_mutation(
     mutates; each swaps positions ``i = swap_i`` and
     ``j = (i + 1 + swap_j) % m`` — with ``swap_j`` uniform on
     ``0..m-2`` this offset trick is uniform over ordered distinct pairs,
-    the same distribution as the reference's per-individual
+    the same distribution as the object-level
+    :func:`~repro.scheduling.operators.mutate`'s
     ``rng.choice(m, 2, replace=False)``.  *flip_idx* holds the **flat**
     bit positions to toggle in ``masks`` (unique indices into the
     flattened ``(P·m·n,)`` view — :func:`bernoulli_indices` output, the
@@ -239,7 +331,7 @@ def _cost_scratch(m: int, n: int, pop: int):
             np.empty((m, pop)),
             np.empty((m, pop)),
             np.empty((m, n, pop)),
-            np.ones(m * n),
+            np.empty((m * n, pop)),
             np.arange(pop)[:, None],
         )
         _SCRATCH[key] = entry
@@ -258,7 +350,7 @@ def vectorized_costs(
 ) -> np.ndarray:
     """eq.-(8) cost of every individual — the lean whole-population evaluator.
 
-    Computes the same quantity as the reference evaluator
+    Computes the same quantity as the row-major evaluator
     (:meth:`GAScheduler._evaluate <repro.scheduling.ga.GAScheduler._evaluate>`)
     with a fraction of the numpy calls per task step, which is what
     matters at case-study sizes where call overhead dominates arithmetic:
@@ -282,8 +374,12 @@ def vectorized_costs(
     Caller contract: every mask row selects at least one node (the
     operators' legitimacy repair runs *before* costing) and durations are
     finite and positive.  Float arithmetic is reordered relative to the
-    reference, so agreement is to rounding (asserted with ``allclose`` by
-    the property tests), not bit-identity.
+    row-major evaluator, so agreement with it is to rounding (asserted
+    with ``allclose`` by the property tests).  Each row's cost is,
+    however, bit-identical whichever batch it is costed in: every
+    reduction runs along the population axis of a contiguous array
+    (summed sequentially per column), never through BLAS, so carried and
+    cached costs equal a fresh costing exactly.
     """
     pop, m = order.shape
     n = masks.shape[2]
@@ -294,7 +390,16 @@ def vectorized_costs(
         )
     if m == 0:
         return np.zeros(pop)
-    frel, starts, comps, cube, ones_mn, rows_idx = _cost_scratch(m, n, pop)
+    if pop == 1:
+        # Reductions below run along axis 0 of (·, P) arrays, which numpy
+        # sums sequentially per column for P >= 2 but pairwise once a
+        # single column collapses to 1-D; costing a lone row as a pair
+        # keeps every row's cost independent of its batch.
+        return vectorized_costs(
+            np.repeat(order, 2, axis=0), np.repeat(masks, 2, axis=0),
+            dtable, deadlines, free0, ref_time, weights, idle_weighting,
+        )[:1]
+    frel, starts, comps, cube, sq, rows_idx = _cost_scratch(m, n, pop)
     # (m, n, pop): step-major, node-major per step, contiguous.
     smask = np.ascontiguousarray(masks[rows_idx, order].transpose(1, 2, 0))
     counts = smask.sum(axis=1)  # (m, pop)
@@ -315,14 +420,16 @@ def vectorized_costs(
     if idle_weighting != "exponential":
         cube2d = cube.reshape(m * n, pop)
         cs = counts * starts
-        # Σ count·start − Σ_sel frel; the flat matvec is the cheapest
-        # (m·n, P) → (P,) reduction at these sizes (BLAS, one dispatch).
-        idle_len = cs.sum(axis=0) - ones_mn @ cube2d
+        # Σ count·start − Σ_sel frel.  Plain axis-0 sums, not BLAS: a
+        # matvec's summation order depends on P, and a row's cost must
+        # not depend on which batch it was costed in.
+        idle_len = cs.sum(axis=0) - cube2d.sum(axis=0)
         if idle_weighting == "uniform":
             phi = idle_len
         else:  # linear
             cs *= starts
-            sel_sq = np.einsum("ij,ij->j", cube2d, cube2d)
+            np.multiply(cube2d, cube2d, out=sq)
+            sel_sq = sq.sum(axis=0)
             idle_sq = (cs.sum(axis=0) - sel_sq) * 0.5
             safe = np.where(omega > 0, omega, 1.0)
             phi = np.where(omega > 0, idle_len - idle_sq / safe, 0.0)

@@ -560,7 +560,7 @@ class Engine:
                     heappush(index, refreshed)
             self._running = False
             self._firing_lane = None
-            # The fired total is batched into the loop-local and flushed
+            # The fired total accumulates in the loop-local and flushed
             # here (exact again the moment ``run`` returns — nothing in the
             # tree reads ``fired_count`` from inside a callback).
             self._fired += fired

@@ -115,3 +115,38 @@ class TestRejection:
     def test_unserialisable_payload(self, path):
         with pytest.raises(CheckpointError, match="not JSON-serialisable"):
             write_snapshot(path, {"x": object()})
+
+
+class TestRetiredGAKernel:
+    """Snapshots from builds with a selectable GA kernel are refused."""
+
+    @staticmethod
+    def pre_single_kernel_config(**ga_switches):
+        from repro.checkpoint.snapshot import encode_config
+        from repro.experiments.config import table2_experiments
+
+        data = encode_config(table2_experiments(request_count=10)[2])
+        data["ga_config"] = dict(data["ga_config"], **ga_switches)
+        return data
+
+    @pytest.mark.parametrize(
+        "switches, kernel",
+        [
+            ({"batched": True, "kernel": None, "eval_reuse": True}, "batched"),
+            ({"batched": False, "kernel": None, "eval_reuse": False}, "reference"),
+            ({"batched": True, "kernel": "vectorized", "eval_reuse": True},
+             "vectorized"),
+        ],
+    )
+    def test_config_refused_naming_the_kernel(self, switches, kernel):
+        from repro.checkpoint.snapshot import decode_config
+
+        data = self.pre_single_kernel_config(**switches)
+        with pytest.raises(CheckpointError, match=f"retired '{kernel}' GA kernel"):
+            decode_config(data)
+
+    def test_current_config_still_decodes(self):
+        from repro.checkpoint.snapshot import decode_config, encode_config
+
+        data = self.pre_single_kernel_config()
+        assert encode_config(decode_config(data)) == data

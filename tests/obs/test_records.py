@@ -128,3 +128,31 @@ class TestCanonical:
         parsed = json.loads(lines[0])
         assert parsed["kind"] == "agent.discovery"
         assert list(parsed) == sorted(parsed)
+
+
+class TestDocsTable:
+    """docs/observability.md embeds the generated record-kind table."""
+
+    def test_observability_doc_matches_code(self):
+        from pathlib import Path
+
+        from repro.obs.records import record_kind_table
+
+        doc = (
+            Path(__file__).resolve().parents[2] / "docs" / "observability.md"
+        ).read_text(encoding="utf-8")
+        begin, end = "<!-- record-kinds:begin -->\n", "\n<!-- record-kinds:end -->"
+        embedded = doc[doc.index(begin) + len(begin):doc.index(end)]
+        assert embedded == record_kind_table(), (
+            "docs/observability.md record-kind table is stale; regenerate it "
+            "from repro.obs.records.record_kind_table()"
+        )
+
+    def test_table_lists_every_kind(self):
+        """A record class missing from ``__all__`` would drop off the table."""
+        from repro.obs.records import record_classes, record_kind_table
+
+        assert set(record_classes()) == set(_all_record_classes())
+        table = record_kind_table()
+        for cls in _all_record_classes():
+            assert f"| `{cls.kind}` | `{cls.__name__}` |" in table

@@ -1,13 +1,14 @@
-"""Property tests: the batched GA operators agree with the references.
+"""Property tests: the GA's array operators agree with the references.
 
 Three layers of agreement are asserted:
 
-* each pure batched operator (:mod:`repro.scheduling.batched`) equals the
+* each pure array operator (:mod:`repro.scheduling.vectorized`) equals the
   corresponding reference built from :mod:`repro.scheduling.operators` /
   ``np.insert``, row for row, given the same random choices;
-* a full ``evolve`` under ``GAConfig(batched=True)`` is byte-identical to
-  ``GAConfig(batched=False)`` from the same seed — including through task
-  churn — because both kernels consume one identical RNG stream;
+* a full evolve of the per-pair reference GA (``tests/oracles``) is
+  byte-identical whether its crossover runs pair by pair or through the
+  production array operators — including through task churn — because
+  both settings consume one identical RNG stream;
 * swap-remove (``remove_task``) preserves the population abstractly: every
   ordering remains a permutation of the surviving rows and every task
   keeps the mask it had before removal.
@@ -19,13 +20,14 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.scheduling.batched import (
-    batched_insert,
-    batched_mask_crossover,
-    batched_order_splice,
-)
 from repro.scheduling.ga import GAConfig, GAScheduler
 from repro.scheduling.operators import order_splice
+from repro.scheduling.vectorized import (
+    vectorized_insert,
+    vectorized_mask_crossover,
+    vectorized_order_splice,
+)
+from tests.oracles.ga_reference import ReferenceGA
 
 
 @st.composite
@@ -60,7 +62,7 @@ class TestBatchedOrderSplice:
     @settings(max_examples=200, deadline=None)
     def test_matches_reference_rowwise(self, data):
         orders_a, orders_b, cuts = data
-        children = batched_order_splice(orders_a, orders_b, cuts)
+        children = vectorized_order_splice(orders_a, orders_b, cuts)
         for i in range(orders_a.shape[0]):
             expected = order_splice(
                 tuple(orders_a[i]), tuple(orders_b[i]), int(cuts[i])
@@ -72,7 +74,7 @@ class TestBatchedOrderSplice:
     def test_children_are_permutations(self, data):
         orders_a, orders_b, cuts = data
         m = orders_a.shape[1]
-        children = batched_order_splice(orders_a, orders_b, cuts)
+        children = vectorized_order_splice(orders_a, orders_b, cuts)
         for row in children:
             assert sorted(row) == list(range(m))
 
@@ -80,7 +82,7 @@ class TestBatchedOrderSplice:
 class TestBatchedMaskCrossover:
     @staticmethod
     def reference_cross_maps(child_order, first, second, point):
-        """The per-pair gather/cross/scatter the batched kernel replaces."""
+        """The per-pair gather/cross/scatter the array operator replaces."""
         m, n = first.shape
         flat_first = first[child_order].reshape(-1)
         flat_second = second[child_order].reshape(-1)
@@ -93,8 +95,8 @@ class TestBatchedMaskCrossover:
     @settings(max_examples=200, deadline=None)
     def test_matches_reference_rowwise(self, data):
         orders_a, orders_b, cuts, masks_a, masks_b, points = data
-        child_orders = batched_order_splice(orders_a, orders_b, cuts)
-        children = batched_mask_crossover(child_orders, masks_a, masks_b, points)
+        child_orders = vectorized_order_splice(orders_a, orders_b, cuts)
+        children = vectorized_mask_crossover(child_orders, masks_a, masks_b, points)
         for i in range(orders_a.shape[0]):
             expected = self.reference_cross_maps(
                 child_orders[i], masks_a[i], masks_b[i], int(points[i])
@@ -107,11 +109,11 @@ class TestBatchedMaskCrossover:
         orders_a, orders_b, cuts, masks_a, masks_b, _ = data
         batch, m = orders_a.shape
         n = masks_a.shape[2]
-        child_orders = batched_order_splice(orders_a, orders_b, cuts)
-        all_first = batched_mask_crossover(
+        child_orders = vectorized_order_splice(orders_a, orders_b, cuts)
+        all_first = vectorized_mask_crossover(
             child_orders, masks_a, masks_b, np.full(batch, m * n)
         )
-        all_second = batched_mask_crossover(
+        all_second = vectorized_mask_crossover(
             child_orders, masks_a, masks_b, np.zeros(batch, dtype=int)
         )
         assert np.array_equal(all_first, masks_a)
@@ -129,7 +131,7 @@ class TestBatchedInsert:
         rng = np.random.default_rng(seed)
         orders = np.stack([rng.permutation(m) for _ in range(batch)])
         positions = rng.integers(0, m + 1, size=batch)
-        children = batched_insert(orders, positions, m)
+        children = vectorized_insert(orders, positions, m)
         for i in range(batch):
             expected = np.insert(orders[i], int(positions[i]), m)
             assert np.array_equal(children[i], expected)
@@ -139,49 +141,49 @@ def _duration(task_id: int, count: int) -> float:
     return 10.0 / count + task_id % 3
 
 
+def _reference_ga(seed: int, crossover: str, n_tasks: int) -> ReferenceGA:
+    ga = ReferenceGA(
+        4,
+        _duration,
+        np.random.default_rng(seed),
+        GAConfig(population_size=12),
+        crossover=crossover,
+    )
+    for tid in range(n_tasks):
+        ga.add_task(tid, deadline=50.0 + 10.0 * tid)
+    return ga
+
+
 class TestKernelEquivalence:
     @given(seed=st.integers(0, 2**31), n_tasks=st.integers(1, 6))
     @settings(max_examples=15, deadline=None)
     def test_evolve_batched_equals_reference(self, seed, n_tasks):
+        """Array crossover inside the reference loop changes nothing."""
         free = [0.0] * 4
         populations = {}
-        for batched in (True, False):
-            ga = GAScheduler(
-                4,
-                _duration,
-                np.random.default_rng(seed),
-                GAConfig(population_size=12, batched=batched),
-            )
-            for tid in range(n_tasks):
-                ga.add_task(tid, deadline=50.0 + 10.0 * tid)
+        for crossover in ("array", "per-pair"):
+            ga = _reference_ga(seed, crossover, n_tasks)
             ga.evolve(5, free, 0.0)
-            populations[batched] = (ga._order.copy(), ga._masks.copy(), ga.history)
-        assert np.array_equal(populations[True][0], populations[False][0])
-        assert np.array_equal(populations[True][1], populations[False][1])
-        assert populations[True][2] == populations[False][2]
+            populations[crossover] = (ga._order.copy(), ga._masks.copy(), ga.history)
+        assert np.array_equal(populations["array"][0], populations["per-pair"][0])
+        assert np.array_equal(populations["array"][1], populations["per-pair"][1])
+        assert populations["array"][2] == populations["per-pair"][2]
 
     @given(seed=st.integers(0, 2**31))
     @settings(max_examples=10, deadline=None)
     def test_evolve_equality_survives_churn(self, seed):
         free = [0.0] * 4
         populations = {}
-        for batched in (True, False):
-            ga = GAScheduler(
-                4,
-                _duration,
-                np.random.default_rng(seed),
-                GAConfig(population_size=12, batched=batched),
-            )
-            for tid in range(5):
-                ga.add_task(tid, deadline=50.0 + 10.0 * tid)
+        for crossover in ("array", "per-pair"):
+            ga = _reference_ga(seed, crossover, 5)
             ga.evolve(3, free, 0.0)
             ga.remove_task(1)
             ga.remove_task(4)
             ga.add_task(7, deadline=90.0)
             ga.evolve(3, free, 5.0)
-            populations[batched] = (ga._order.copy(), ga._masks.copy())
-        assert np.array_equal(populations[True][0], populations[False][0])
-        assert np.array_equal(populations[True][1], populations[False][1])
+            populations[crossover] = (ga._order.copy(), ga._masks.copy())
+        assert np.array_equal(populations["array"][0], populations["per-pair"][0])
+        assert np.array_equal(populations["array"][1], populations["per-pair"][1])
 
 
 class TestSwapRemoveInvariants:

@@ -1,20 +1,18 @@
 """Property tests: the evaluation-reuse layer changes nothing but speed.
 
-Three claims are asserted across random seeds, population sizes, task
-counts and both crossover kernels:
+Three claims are asserted across random seeds, population sizes and task
+counts:
 
-* ``evolve`` under ``GAConfig(eval_reuse=True)`` (dedup costing + the
-  evolve-scoped carry memo + the event-level cost cache) is **byte
-  identical** to the naive ``eval_reuse=False`` reference — populations,
-  cost history, and the RNG state all match bit for bit, including
-  through task churn and availability changes;
-* the digest plumbing in :mod:`repro.scheduling.evalreuse` is exact:
-  two individuals share a digest iff their ``(order row, mask row)``
-  pairs are equal, and ``dedup_index`` scatters a subset evaluation back
-  losslessly;
-* ``GAConfig(early_stop_after=K)`` only ever *truncates* the reference
-  generation sequence, never halts before K consecutive non-improving
-  generations, and never fires when improvement keeps arriving.
+* the cost vector ``evolve`` retains — elite costs carried forward,
+  children and memetic candidates costed in their own batches — is **bit
+  identical** to a fresh costing of the whole population, so the
+  incumbent ``best_solution`` picks is the same whether or not the cost
+  cache answered, including through task churn and availability changes;
+* the reuse counters partition every requested cost into evaluated and
+  carried rows;
+* ``GAConfig(early_stop_after=K)`` only ever *truncates* the generation
+  sequence, never halts before K consecutive non-improving generations,
+  and never fires when improvement keeps arriving.
 """
 
 from __future__ import annotations
@@ -23,7 +21,6 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.scheduling.evalreuse import dedup_index, population_digests
 from repro.scheduling.ga import GAConfig, GAScheduler
 
 
@@ -32,12 +29,12 @@ def _duration(task_id: int, count: int) -> float:
 
 
 def _make_ga(seed: int, n_tasks: int, *, population_size: int = 12,
-             batched: bool = True, **config) -> GAScheduler:
+             **config) -> GAScheduler:
     ga = GAScheduler(
         4,
         _duration,
         np.random.default_rng(seed),
-        GAConfig(population_size=population_size, batched=batched, **config),
+        GAConfig(population_size=population_size, **config),
     )
     for tid in range(n_tasks):
         ga.add_task(tid, deadline=50.0 + 10.0 * tid)
@@ -54,117 +51,85 @@ def _state(ga: GAScheduler):
     )
 
 
+def _same_solution(a, b) -> bool:
+    return a.ordering == b.ordering and all(
+        np.array_equal(a.mask(tid), b.mask(tid)) for tid in a.ordering
+    )
+
+
 class TestEvalReuseEquivalence:
     @given(
         seed=st.integers(0, 2**31),
         n_tasks=st.integers(1, 6),
         population_size=st.integers(8, 16),
-        batched=st.booleans(),
     )
     @settings(max_examples=15, deadline=None)
-    def test_evolve_reuse_equals_naive(self, seed, n_tasks, population_size,
-                                       batched):
+    def test_evolve_reuse_equals_naive(self, seed, n_tasks, population_size):
+        """Carried costs equal a naive full recosting, bit for bit."""
         free = [0.0] * 4
-        states = {}
-        for eval_reuse in (True, False):
-            ga = _make_ga(seed, n_tasks, population_size=population_size,
-                          batched=batched, eval_reuse=eval_reuse)
-            ga.evolve(5, free, 0.0)
-            states[eval_reuse] = _state(ga)
-        order_a, masks_a, history_a, rng_a = states[True]
-        order_b, masks_b, history_b, rng_b = states[False]
-        assert np.array_equal(order_a, order_b)
-        assert np.array_equal(masks_a, masks_b)
-        assert history_a == history_b
-        assert rng_a == rng_b
+        ga = _make_ga(seed, n_tasks, population_size=population_size)
+        ga.evolve(5, free, 0.0)
+        naive = ga._vector_costs(ga._order, ga._masks, free, 0.0)
+        assert np.array_equal(ga.last_costs, naive)
 
     @given(seed=st.integers(0, 2**31))
     @settings(max_examples=10, deadline=None)
     def test_equality_survives_churn_and_availability_change(self, seed):
-        """Cache invalidation on add/remove/availability is exercised too."""
+        """A twin whose cost cache is cleared before every lookup agrees."""
         states = {}
-        for eval_reuse in (True, False):
-            ga = _make_ga(seed, 5, eval_reuse=eval_reuse)
+        for clear_cache in (False, True):
+            ga = _make_ga(seed, 5)
+
+            def best(free, ref_time):
+                if clear_cache:
+                    ga._invalidate_cost_cache()
+                return ga.best_solution(free, ref_time)
+
             ga.evolve(3, [0.0] * 4, 0.0)
-            ga.best_solution([0.0] * 4, 0.0)  # event cache hit vs recompute
+            best([0.0] * 4, 0.0)  # event cache hit vs recompute
             ga.remove_task(1)
             ga.remove_task(4)
             ga.add_task(7, deadline=90.0)
             ga.evolve(3, [2.0, 0.0, 5.0, 1.0], 1.5)
-            states[eval_reuse] = (
-                *_state(ga),
-                ga.best_solution([2.0, 0.0, 5.0, 1.0], 1.5),
-            )
-        order_a, masks_a, history_a, rng_a, best_a = states[True]
-        order_b, masks_b, history_b, rng_b, best_b = states[False]
+            states[clear_cache] = (*_state(ga), best([2.0, 0.0, 5.0, 1.0], 1.5))
+        order_a, masks_a, history_a, rng_a, best_a = states[False]
+        order_b, masks_b, history_b, rng_b, best_b = states[True]
         assert np.array_equal(order_a, order_b)
         assert np.array_equal(masks_a, masks_b)
         assert history_a == history_b
         assert rng_a == rng_b
-        assert best_a.ordering == best_b.ordering
-        for tid in best_a.ordering:
-            assert np.array_equal(best_a.mask(tid), best_b.mask(tid))
+        assert _same_solution(best_a, best_b)
+
+    @given(
+        seed=st.integers(0, 2**31),
+        n_tasks=st.integers(1, 6),
+        generations=st.integers(0, 8),
+        free=st.lists(st.floats(0.0, 20.0), min_size=4, max_size=4),
+    )
+    @settings(max_examples=30, deadline=None)
+    def test_best_solution_is_argmin_of_last_costs(
+        self, seed, n_tasks, generations, free
+    ):
+        """A recomputed incumbent is the one ``evolve``'s costs name."""
+        ga = _make_ga(seed, n_tasks)
+        ga.evolve(generations, free, 1.0)
+        costs = ga.last_costs
+        ga._invalidate_cost_cache()
+        best = ga.best_solution(free, 1.0)
+        assert ga.stats.event_cache_misses == 1
+        assert _same_solution(best, ga._solution_at(int(np.argmin(costs))))
+        assert ga.cost_of(best, free, 1.0) == costs.min()
 
     @given(seed=st.integers(0, 2**31), n_tasks=st.integers(1, 5))
     @settings(max_examples=10, deadline=None)
     def test_counters_partition_rows_costed(self, seed, n_tasks):
-        """Every requested cost is evaluated, deduped, or carried — exactly."""
+        """Every requested cost is either evaluated or carried — exactly."""
         ga = _make_ga(seed, n_tasks)
         ga.evolve(5, [0.0] * 4, 0.0)
+        ga.best_solution([1.0] * 4, 0.0)  # a miss recosts the population
         stats = ga.stats
-        assert stats.rows_costed == (
-            stats.rows_evaluated + stats.dedup_hits + stats.carry_hits
-        )
+        assert stats.rows_costed == stats.rows_evaluated + stats.carry_hits
         assert 0.0 <= stats.hit_rate <= 1.0
-
-
-class TestDigestExactness:
-    @given(
-        seed=st.integers(0, 2**31),
-        pop=st.integers(1, 10),
-        m=st.integers(1, 6),
-        n=st.integers(1, 6),
-    )
-    @settings(max_examples=100, deadline=None)
-    def test_digest_equality_iff_individual_equality(self, seed, pop, m, n):
-        rng = np.random.default_rng(seed)
-        order = np.stack([rng.permutation(m) for _ in range(pop)])
-        masks = rng.random((pop, m, n)) < 0.5
-        if pop >= 2:  # force at least one duplicate pair
-            order[pop - 1] = order[0]
-            masks[pop - 1] = masks[0]
-        digests = population_digests(order, masks)
-        for a in range(pop):
-            for b in range(pop):
-                same = np.array_equal(order[a], order[b]) and np.array_equal(
-                    masks[a], masks[b]
-                )
-                assert (digests[a] == digests[b]) == same
-
-    @given(
-        seed=st.integers(0, 2**31),
-        pop=st.integers(1, 12),
-        m=st.integers(1, 5),
-        n=st.integers(1, 5),
-    )
-    @settings(max_examples=100, deadline=None)
-    def test_dedup_index_scatters_losslessly(self, seed, pop, m, n):
-        rng = np.random.default_rng(seed)
-        base = max(1, pop // 2)  # duplicates likely
-        order = np.stack([rng.permutation(m) for _ in range(base)])[
-            rng.integers(0, base, size=pop)
-        ]
-        masks = rng.random((pop, m, n)) < 0.5
-        digests = population_digests(order, masks)
-        unique_rows, inverse = dedup_index(digests)
-        # First occurrences, in population order.
-        assert list(unique_rows) == sorted(set(
-            min(p for p in range(pop) if digests[p] == d)
-            for d in set(digests)
-        ))
-        # The inverse map reconstructs every individual's digest.
-        for p in range(pop):
-            assert digests[unique_rows[inverse[p]]] == digests[p]
 
 
 class TestEarlyStop:
@@ -188,14 +153,14 @@ class TestEarlyStop:
         history = ga.history
         ran = len(history)
 
-        # Early stop only truncates the reference generation sequence.
+        # Early stop only truncates the uninterrupted generation sequence.
         assert history == ref_history[:ran]
 
         if ran < generations:
             assert ga.stats.early_stops == 1
             assert ran >= patience  # never halts before K generations elapsed
             # The best cost *before* the generation loop (after the initial
-            # costing + memetic step) seeds the stall counter; evolve(0)
+            # costing + warm-start injection) seeds the stall counter; evolve(0)
             # on an identical twin reproduces it without RNG divergence.
             twin = _make_ga(seed, n_tasks, early_stop_after=patience)
             initial_best = twin.evolve(0, free, 0.0)

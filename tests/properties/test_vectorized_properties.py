@@ -1,23 +1,23 @@
-"""Property tests for the vectorized GA kernel and its warm start.
+"""Property tests for the GA kernel and its warm start.
 
-The vectorized kernel (``GAConfig(kernel="vectorized")``) deliberately
-relaxes the byte-identical-RNG-stream contract the batched kernel keeps,
-so its correctness is gated on *properties* rather than stream equality:
+The kernel draws its randomness in whole-population arrays, so its
+correctness is gated on *properties* rather than on a particular random
+stream:
 
 * every individual it ever holds is a legitimate solution — row
   permutations and at-least-one-node masks — across seeds and population
   sizes;
-* its lean evaluator agrees with the long-validated population evaluator
-  (itself property-tested against the scalar eq.-(8) reference) to
+* its lean evaluator agrees with the long-validated row-major evaluator
+  and with the scalar eq.-(8) reference (``tests/oracles``) to
   floating-point noise, under every idle weighting and under shifted
   node availability;
-* its schedule quality is no worse than the reference kernel's on a
-  fixed seed panel at an equal generation budget (per-seed outcomes
-  differ by RNG-stream noise, so the gate is the panel mean — see
-  docs/performance.md);
+* its schedule quality is no worse than the per-pair reference GA's
+  (``tests/oracles``) on a fixed seed panel at an equal generation budget
+  (per-seed outcomes differ by RNG-stream noise, so the gate is the panel
+  mean — see docs/performance.md);
 * the warm start is deterministic, including through a checkpoint /
-  restore round-trip, and snapshots refuse to cross the vectorized /
-  byte-identical kernel boundary.
+  restore round-trip, and snapshots from builds with a selectable kernel
+  are refused.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.errors import ScheduleError, ValidationError
+from repro.errors import CheckpointError, ScheduleError, ValidationError
 from repro.scheduling.ga import GAConfig, GAScheduler
 from repro.scheduling.vectorized import (
     bernoulli_indices,
@@ -39,12 +39,13 @@ from repro.scheduling.warmstart import (
     warmstart_orders,
     warmstart_population,
 )
+from tests.oracles.ga_reference import ReferenceGA, reference_cost
 
 N_NODES = 6
 
 
-def make_ga(seed: int, *, kernel="vectorized", population_size=20,
-            n_tasks=8, **config_kwargs) -> GAScheduler:
+def make_ga(seed: int, *, population_size=20, n_tasks=8,
+            **config_kwargs) -> GAScheduler:
     """A small GA over a synthetic sublinear-speedup duration table."""
     def row(tid):
         return [60.0 * (1.0 + 0.37 * (tid % 16)) / (k**0.8)
@@ -55,7 +56,7 @@ def make_ga(seed: int, *, kernel="vectorized", population_size=20,
         N_NODES,
         lambda tid, k: rows.setdefault(tid, row(tid))[k - 1],
         np.random.default_rng(seed),
-        GAConfig(kernel=kernel, population_size=population_size, **config_kwargs),
+        GAConfig(population_size=population_size, **config_kwargs),
         duration_row=lambda tid: rows.setdefault(tid, row(tid)),
     )
     for tid in range(n_tasks):
@@ -186,6 +187,16 @@ class TestEvaluatorParity:
             )
             np.testing.assert_allclose(got, expected, rtol=1e-10, atol=1e-9)
 
+    @pytest.mark.parametrize("seed", range(3))
+    def test_evolved_costs_match_scalar_reference(self, seed):
+        """Every cost ``evolve`` retains is the scalar eq.-(8) cost."""
+        ga = make_ga(seed)
+        free = [3.0, 0.0, 1.0, 0.0, 7.0, 2.0]
+        ga.evolve(6, free, 1.0)
+        for p, cost in enumerate(ga.last_costs):
+            expected = reference_cost(ga, ga._solution_at(p), free, 1.0)
+            assert cost == pytest.approx(expected, rel=1e-9)
+
     def test_wrong_node_count_rejected(self):
         ga = make_ga(0)
         with pytest.raises(ScheduleError):
@@ -214,27 +225,48 @@ class TestPopulationLegitimacy:
         assert_population_legitimate(ga)
 
 
+def case_study_ga(cls, seed: int) -> GAScheduler:
+    """12 paper applications on a 16-node SGI resource, population 50."""
+    from repro.pace.evaluation import EvaluationEngine
+    from repro.pace.hardware import SGI_ORIGIN_2000
+    from repro.pace.workloads import paper_applications
+
+    engine = EvaluationEngine()
+    rows = [
+        engine.evaluate_counts(model, SGI_ORIGIN_2000, 16)
+        for model in paper_applications().values()
+    ]
+    ga = cls(
+        16,
+        lambda tid, k: float(rows[tid % len(rows)][k - 1]),
+        np.random.default_rng(2003),
+        GAConfig(),
+        duration_row=lambda tid: rows[tid % len(rows)],
+    )
+    for tid in range(12):
+        ga.add_task(tid, deadline=600.0 + 40.0 * tid)
+    ga._rng = np.random.default_rng(seed)
+    return ga
+
+
 class TestQualityParity:
     def test_panel_mean_no_worse_than_reference(self):
-        """Vectorized best-cost panel mean ≤ reference's at equal budget.
+        """Best-cost panel mean ≤ the reference GA's at equal budget.
 
         Per-seed outcomes legitimately differ (the kernels consume
         different RNG streams); the acceptance gate is the mean over a
-        fixed 10-seed panel, where the vectorized kernel's warm start
-        and identical-distribution operators must not lose ground.
+        fixed 10-seed panel, where the production kernel's warm start
+        and identical-distribution operators must not lose ground to the
+        per-pair reference loop.
         """
-        from repro.perf import _make_ga
-
         free = [0.0] * 16
-        budgets = {"vectorized": [], "reference": []}
-        for kernel, bests in budgets.items():
+        bests = {GAScheduler: [], ReferenceGA: []}
+        for cls, panel in bests.items():
             for seed in range(10):
-                ga = _make_ga(batched=False, kernel=kernel)
-                ga._rng = np.random.default_rng(seed)
-                bests.append(ga.evolve(50, free, 0.0))
-        vec = float(np.mean(budgets["vectorized"]))
-        ref = float(np.mean(budgets["reference"]))
-        assert vec <= ref + 1e-9, f"vectorized {vec:.4f} > reference {ref:.4f}"
+                panel.append(case_study_ga(cls, seed).evolve(50, free, 0.0))
+        prod = float(np.mean(bests[GAScheduler]))
+        ref = float(np.mean(bests[ReferenceGA]))
+        assert prod <= ref + 1e-9, f"kernel {prod:.4f} > reference {ref:.4f}"
 
 
 class TestWarmstartProperties:
@@ -306,20 +338,11 @@ class TestCheckpointRoundTrip:
         assert np.array_equal(ga1._masks, ga2._masks)
 
     def test_vectorized_boundary_refused_both_ways(self):
-        free = [0.0] * N_NODES
-        vec = make_ga(5)
-        vec.evolve(2, free, 0.0)
-        batched = make_ga(5, kernel="batched")
-        with pytest.raises(ScheduleError):
-            batched.restore_state(vec.snapshot_state())
-        batched.evolve(2, free, 0.0)
-        with pytest.raises(ScheduleError):
-            vec.restore_state(batched.snapshot_state())
-
-    def test_byte_identical_kernels_still_interchange(self):
-        free = [0.0] * N_NODES
-        batched = make_ga(5, kernel="batched")
-        batched.evolve(2, free, 0.0)
-        reference = make_ga(5, kernel="reference")
-        reference.restore_state(batched.snapshot_state())
-        assert np.array_equal(reference._order, batched._order)
+        """GA state tagged by any retired kernel is refused by name."""
+        ga = make_ga(5)
+        ga.evolve(2, [0.0] * N_NODES, 0.0)
+        assert "kernel" not in ga.snapshot_state()
+        for kernel in ("batched", "reference", "vectorized"):
+            snap = dict(ga.snapshot_state(), kernel=kernel)
+            with pytest.raises(CheckpointError, match=repr(kernel)):
+                make_ga(5).restore_state(snap)

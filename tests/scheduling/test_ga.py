@@ -8,6 +8,7 @@ import pytest
 from repro.errors import ScheduleError, ValidationError
 from repro.scheduling.cost import CostWeights
 from repro.scheduling.ga import GAConfig, GAScheduler
+from tests.oracles.ga_reference import reference_cost
 
 
 def table_duration(rows: dict):
@@ -182,7 +183,7 @@ class TestVectorisedAgainstReference:
         free = [2.0, 0.0, 5.0, 0.0]
         for sol in ga.population[:10]:
             fast = ga.cost_of(sol, free, 1.0)
-            slow = ga.reference_cost(sol, free, 1.0)
+            slow = reference_cost(ga, sol, free, 1.0)
             assert fast == pytest.approx(slow, rel=1e-9)
 
     @pytest.mark.parametrize("weighting", ["linear", "uniform", "exponential"])
@@ -198,7 +199,7 @@ class TestVectorisedAgainstReference:
         free = [0.0, 3.0, 1.0, 0.0]
         for sol in ga.population:
             fast = ga.cost_of(sol, free, 0.0)
-            slow = ga.reference_cost(sol, free, 0.0)
+            slow = reference_cost(ga, sol, free, 0.0)
             assert fast == pytest.approx(slow, rel=1e-9)
 
 

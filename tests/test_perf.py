@@ -129,22 +129,22 @@ class TestMergeSuiteDoc:
     """``perf --update`` folds a partial run into the committed document."""
 
     def test_fresh_overrides_and_rest_carries_over(self):
-        existing = doc(ga_evolve_reference=(500.0, True), casestudy_wall=(4.0, False))
-        fresh = doc(ga_evolve_reference=(520.0, True),
-                    ga_evolve_vectorized=(2200.0, True))
+        existing = doc(evaluate_scalar=(500.0, True), casestudy_wall=(4.0, False))
+        fresh = doc(evaluate_scalar=(520.0, True),
+                    evaluate_counts=(2200.0, True))
         merged = merge_suite_doc(existing, fresh)
-        assert merged["benchmarks"]["ga_evolve_reference"]["value"] == 520.0
-        assert merged["benchmarks"]["ga_evolve_vectorized"]["value"] == 2200.0
+        assert merged["benchmarks"]["evaluate_scalar"]["value"] == 520.0
+        assert merged["benchmarks"]["evaluate_counts"]["value"] == 2200.0
         assert merged["benchmarks"]["casestudy_wall"]["value"] == 4.0
 
     def test_derived_ratios_recomputed_from_merged_set(self):
-        # The vectorized numerator comes from the fresh run, the reference
+        # The bulk numerator comes from the fresh run, the scalar
         # denominator from the existing document: the merge must still
         # produce the ratio.
-        existing = doc(ga_evolve_reference=(500.0, True))
-        fresh = doc(ga_evolve_vectorized=(2000.0, True))
+        existing = doc(evaluate_scalar=(500.0, True))
+        fresh = doc(evaluate_counts=(2000.0, True))
         merged = merge_suite_doc(existing, fresh)
-        assert merged["derived"]["ga_evolve_vectorized_speedup"] == 4.0
+        assert merged["derived"]["evaluate_bulk_speedup"] == 4.0
 
     def test_meta_comes_from_fresh(self):
         existing = doc(cpu_count=8, a=(1.0, True))
@@ -158,10 +158,10 @@ class TestMergeSuiteDoc:
         assert merge_suite_doc({}, fresh) is fresh
 
     def test_zero_denominator_ratio_dropped(self):
-        existing = doc(ga_evolve_reference=(0.0, True))
-        fresh = doc(ga_evolve_vectorized=(2000.0, True))
+        existing = doc(evaluate_scalar=(0.0, True))
+        fresh = doc(evaluate_counts=(2000.0, True))
         merged = merge_suite_doc(existing, fresh)
-        assert "ga_evolve_vectorized_speedup" not in merged["derived"]
+        assert "evaluate_bulk_speedup" not in merged["derived"]
 
 
 class TestRunPerfCliUpdate:
@@ -178,14 +178,14 @@ class TestRunPerfCliUpdate:
         import json
 
         output = tmp_path / "BENCH_PERF.json"
-        existing = doc(casestudy_wall=(4.0, False), ga_evolve_reference=(500.0, True))
+        existing = doc(casestudy_wall=(4.0, False), evaluate_scalar=(500.0, True))
         output.write_text(json.dumps(existing))
-        self.fake_suite(monkeypatch, ga_evolve_vectorized=(2000.0, True))
+        self.fake_suite(monkeypatch, evaluate_counts=(2000.0, True))
         assert run_perf_cli(str(output), update=True) == 0
         written = json.loads(output.read_text())
         assert written["benchmarks"]["casestudy_wall"]["value"] == 4.0
-        assert written["benchmarks"]["ga_evolve_vectorized"]["value"] == 2000.0
-        assert written["derived"]["ga_evolve_vectorized_speedup"] == 4.0
+        assert written["benchmarks"]["evaluate_counts"]["value"] == 2000.0
+        assert written["derived"]["evaluate_bulk_speedup"] == 4.0
 
     def test_without_update_subset_overwrites(self, tmp_path, monkeypatch):
         import json
@@ -226,8 +226,7 @@ class TestSelectBenchmarks:
 
     def test_no_filter_returns_everything(self):
         all_names = self.names(select_benchmarks(None))
-        assert "ga_evolve_batched" in all_names
-        assert "ga_evaluate_dedup" in all_names
+        assert "ga_evolve_vectorized" in all_names
         assert "casestudy_wall" in all_names
         assert self.names(select_benchmarks([])) == all_names
 
@@ -235,20 +234,24 @@ class TestSelectBenchmarks:
         all_names = self.names(select_benchmarks(None))
         assert "ga_evolve_vectorized" in all_names
         assert "ga_warmstart_convergence" in all_names
-        assert DERIVED_RATIOS["ga_evolve_vectorized_speedup"] == (
-            "ga_evolve_vectorized", "ga_evolve_reference"
-        )
+        # One GA kernel: no derived ratio compares GA kernels any more.
+        assert not any(name.startswith("ga_") for name in DERIVED_RATIOS)
+
+    def test_ci_ga_group_gates_the_kernel(self):
+        """CI's ``--only ga_`` smoke selects exactly the GA benchmarks."""
+        selected = self.names(select_benchmarks(["ga_"]))
+        assert selected == ["ga_evolve_vectorized", "ga_warmstart_convergence"]
 
     def test_substring_selects_matching_group(self):
-        selected = self.names(select_benchmarks(["dedup"]))
-        assert "ga_evaluate_dedup" in selected
-        assert "ga_evaluate_full" in selected  # same group, runs together
+        selected = self.names(select_benchmarks(["evaluate_"]))
+        assert "evaluate_counts" in selected
+        assert "evaluate_scalar" in selected  # same group, runs together
         assert "casestudy_wall" not in selected
 
     def test_multiple_substrings_union(self):
-        selected = self.names(select_benchmarks(["casestudy", "crossover"]))
+        selected = self.names(select_benchmarks(["casestudy", "warmstart"]))
         assert "casestudy_wall" in selected
-        assert "ga_crossover_batched" in selected
+        assert "ga_warmstart_convergence" in selected
         assert "sweep_speedup" not in selected
 
     def test_unmatched_filter_raises_before_running(self):

@@ -2,7 +2,7 @@
 
 A snapshot file is two lines of JSON:
 
-* **line 1** — the header ``{"format": "repro-checkpoint", "version": 1,
+* **line 1** — the header ``{"format": "repro-checkpoint", "version": 2,
   "sha256": "<hex>"}`` where the digest covers the exact bytes of line 2;
 * **line 2** — the payload, serialised canonically (sorted keys, no
   whitespace) so identical state always produces identical bytes.
@@ -24,7 +24,9 @@ from repro.errors import CheckpointError
 __all__ = ["FORMAT_NAME", "FORMAT_VERSION", "write_snapshot", "read_snapshot"]
 
 FORMAT_NAME = "repro-checkpoint"
-FORMAT_VERSION = 1
+#: Version 2: one ``"run"`` snapshot kind for every run mode.  Version-1
+#: files (the ``experiment``/``degraded``/``soak`` kinds) are refused.
+FORMAT_VERSION = 2
 
 
 def _canonical(payload: Dict[str, Any]) -> str:

@@ -3,9 +3,9 @@
 :func:`snapshot_system` gathers every component's ``snapshot_state()`` into
 one JSON-ready payload section; :func:`restore_system` rewinds a **freshly
 built, not-yet-started** :class:`~repro.experiments.runner.GridSystem` to
-that state.  The experiment drivers add their own progress (pending arrival
-events, churn timers, the step counter) around this section — see
-:mod:`repro.experiments.runner`.
+that state.  The run driver adds its own progress (pending arrival events,
+churn timers, the step counter, soak windows) around this section — see
+:func:`repro.experiments.runner.write_checkpoint`.
 
 Restore order matters: the engine is rewound first (clearing the heap and
 re-establishing the clock and sequence counter), after which every
@@ -134,28 +134,6 @@ def encode_config(config) -> Dict[str, Any]:
     return data
 
 
-#: ``GAConfig`` switches of builds that shipped several GA kernels.
-_RETIRED_GA_SWITCHES = ("batched", "kernel", "eval_reuse")
-
-
-def _refuse_retired_ga_kernel(ga_raw: Dict[str, Any]) -> None:
-    """Refuse a GA config written while the kernel was selectable.
-
-    Each retired kernel drew its randomness differently from the one GA
-    kernel of this build, so resuming would silently diverge from the
-    uninterrupted run.  The error names the kernel the snapshot ran.
-    """
-    if not any(key in ga_raw for key in _RETIRED_GA_SWITCHES):
-        return
-    kernel = ga_raw.get("kernel")
-    if kernel is None:
-        kernel = "batched" if ga_raw.get("batched", True) else "reference"
-    raise CheckpointError(
-        f"snapshot was written under the retired {kernel!r} GA kernel; "
-        "this build has a single GA kernel and cannot resume it"
-    )
-
-
 def decode_config(data: Dict[str, Any]):
     """Inverse of :func:`encode_config`.
 
@@ -174,7 +152,6 @@ def decode_config(data: Dict[str, Any]):
 
     try:
         ga_raw = dict(data["ga_config"])
-        _refuse_retired_ga_kernel(ga_raw)
         weights = CostWeights(**ga_raw.pop("weights"))
         ga_config = GAConfig(weights=weights, **ga_raw)
         faults = data["faults"]

@@ -24,29 +24,28 @@ from repro.experiments.export import (
     table3_to_csv,
 )
 from repro.experiments.experiment4 import (
-    DegradedRun,
-    Experiment4Point,
-    Experiment4Result,
+    EXPERIMENT4,
     degradation_config,
     experiment4_base_config,
-    run_degraded,
-    run_experiment4,
 )
+from repro.experiments.experiment5 import EXPERIMENT5
 from repro.experiments.experiment6 import (
-    Experiment6Cell,
-    Experiment6Point,
-    Experiment6Result,
+    EXPERIMENT6,
     experiment6_cells,
-    run_experiment6,
-    run_policy_invariants,
     verify_clean_parity,
 )
+from repro.experiments.experiment7 import EXPERIMENT7
 from repro.experiments.runner import (
+    DegradedRun,
     ExperimentResult,
     GridSystem,
+    Run,
     build_grid,
+    resume,
+    run_degraded,
     run_experiment,
 )
+from repro.experiments.tournament import Tournament
 from repro.experiments.sweep import SeedSweepSummary, run_seed_sweep
 from repro.experiments.tables import (
     TrendCheck,
@@ -79,24 +78,23 @@ __all__ = [
     "result_to_dict",
     "results_to_json",
     "table3_to_csv",
-    "DegradedRun",
-    "Experiment4Point",
-    "Experiment4Result",
+    "EXPERIMENT4",
+    "EXPERIMENT5",
+    "EXPERIMENT6",
+    "EXPERIMENT7",
     "degradation_config",
     "experiment4_base_config",
-    "run_degraded",
-    "run_experiment4",
-    "Experiment6Cell",
-    "Experiment6Point",
-    "Experiment6Result",
     "experiment6_cells",
-    "run_experiment6",
-    "run_policy_invariants",
     "verify_clean_parity",
+    "DegradedRun",
     "ExperimentResult",
     "GridSystem",
+    "Run",
     "build_grid",
+    "resume",
+    "run_degraded",
     "run_experiment",
+    "Tournament",
     "SeedSweepSummary",
     "run_seed_sweep",
     "TrendCheck",

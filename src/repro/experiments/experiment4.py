@@ -7,70 +7,63 @@ message loss, latency jitter, and agent churn, across a grid of
 ``loss rate × churn rate`` operating points.  Each point reports the
 request **completion rate**, the **deadline-met rate**, the §3.3
 balancing metrics, and the resilience layer's counters (retries,
-reroutes, give-ups), for either the resilient protocol
-(ACK + retry + registry TTL) or the paper's fire-and-forget baseline
-(``resilient=False`` — the no-retry ablation).
+reroutes, give-ups), for the resilient protocol
+(ACK + retry + registry TTL) paired with the paper's fire-and-forget
+baseline (``no-retry`` — the ablation every resilient point is measured
+against).
 
-The strict :func:`~repro.experiments.runner.run_experiment` loop raises
-when the event queue drains with requests pending, which is precisely
-what message loss produces; :func:`run_degraded` is the horizon-based
-counterpart that tolerates unresolved requests and reports them.
+Message loss leaves requests unresolved, so every point runs in the
+``horizon`` mode of :class:`~repro.experiments.runner.Run`, which counts
+them instead of raising; :func:`run_degraded` is that mode's entry point.
 """
 
 from __future__ import annotations
 
-import time
-from dataclasses import dataclass, replace
-from typing import List, Optional, Sequence, Tuple
+from dataclasses import replace
+from typing import Any, List, Mapping, Optional
 
-from repro.errors import ExperimentError, TransportError
-from repro.experiments.casestudy import GridTopology, case_study_topology
+from repro.agents.resilience import ResilienceConfig
+from repro.experiments.casestudy import case_study_topology
 from repro.experiments.config import ExperimentConfig
-from repro.experiments.runner import (
-    MAX_EVENTS,
-    ExperimentResult,
-    GridSystem,
-    _rebuild_from_payload,
+
+# The horizon-mode entry points live with the one run driver; they are
+# re-exported here, where degraded runs have always been imported from.
+from repro.experiments.runner import (  # noqa: F401
+    DegradedRun,
+    MembershipSummary,
     build_grid,
-    tolerant_submitter,
+    checkpoint_degraded,
+    compute_metrics,
+    resume_degraded,
+    run_degraded,
     write_checkpoint,
 )
-from repro.experiments.workload import WorkloadItem, generate_workload
-from repro.metrics.balancing import compute_metrics
-from repro.metrics.records import (
-    CompletionRecord,
-    ResilienceCounters,
-    records_from_tasks,
+from repro.experiments.tournament import (
+    BETA,
+    COMPLETED,
+    EPSILON,
+    MET_DEADLINE,
+    UNRESOLVED,
+    Cell,
+    Column,
+    Contender,
+    Tournament,
+    TournamentResult,
+    completed,
 )
-from repro.net.faults import ChurnSchedule, ChurnSpec, FaultPlanSpec
-from repro.agents.resilience import ResilienceConfig
-from repro.obs.trace import Tracer
-from repro.pace.workloads import paper_application_specs
+from repro.net.faults import ChurnSpec, FaultPlanSpec
 from repro.scheduling.scheduler import SchedulingPolicy
-from repro.sim.events import Priority
-from repro.tasks.task import Environment
-from repro.utils.rng import RngRegistry
 
 __all__ = [
-    "DEFAULT_LOSS_RATES",
-    "DEFAULT_CHURN_RATES",
+    "EXPERIMENT4",
     "MembershipSummary",
     "DegradedRun",
-    "Experiment4Point",
-    "Experiment4Result",
     "degradation_config",
     "experiment4_base_config",
     "run_degraded",
     "checkpoint_degraded",
     "resume_degraded",
-    "run_experiment4",
 ]
-
-#: The default degradation grid: loss rates per message ...
-DEFAULT_LOSS_RATES: Tuple[float, ...] = (0.0, 0.05, 0.1, 0.2)
-#: ... crossed with the fraction of (non-head) agents that crash once.
-DEFAULT_CHURN_RATES: Tuple[float, ...] = (0.0, 0.25)
-
 
 def experiment4_base_config(
     *, master_seed: int = 2003, request_count: int = 600
@@ -131,527 +124,124 @@ def degradation_config(
     )
 
 
-@dataclass(frozen=True)
-class MembershipSummary:
-    """Grid-wide failure-detection and self-healing totals for one run."""
-
-    suspects: int = 0
-    recoveries: int = 0
-    confirms: int = 0
-    heartbeats_sent: int = 0
-    orphaned: int = 0
-    adoptions_completed: int = 0
-    promotions: int = 0
-    rejoins: int = 0
-    give_ups: int = 0
-    repair_count: int = 0
-    mean_repair_seconds: float = 0.0
-
-    @classmethod
-    def from_system(cls, system: GridSystem) -> "MembershipSummary":
-        """Aggregate every agent's detector and healer stats."""
-        durations: List[float] = []
-        totals = dict.fromkeys(
-            (
-                "suspects", "recoveries", "confirms", "heartbeats_sent",
-                "orphaned", "adoptions_completed", "promotions", "rejoins",
-                "give_ups",
-            ),
-            0,
-        )
-        for agent in system.agents.values():
-            if agent.detector is not None:
-                stats = agent.detector.stats
-                totals["suspects"] += stats.suspects
-                totals["recoveries"] += stats.recoveries
-                totals["confirms"] += stats.confirms
-                totals["heartbeats_sent"] += stats.heartbeats_sent
-            if agent.healer is not None:
-                stats = agent.healer.stats
-                totals["orphaned"] += stats.orphaned
-                totals["adoptions_completed"] += stats.adoptions_completed
-                totals["promotions"] += stats.promotions
-                totals["rejoins"] += stats.rejoins
-                totals["give_ups"] += stats.give_ups
-                durations.extend(agent.healer.repair_durations)
-        return cls(
-            repair_count=len(durations),
-            mean_repair_seconds=(
-                sum(durations) / len(durations) if durations else 0.0
-            ),
-            **totals,
-        )
+def _read_fault_plan(path: str) -> FaultPlanSpec:
+    with open(path, encoding="utf-8") as handle:
+        return FaultPlanSpec.from_json(handle.read())
 
 
-@dataclass
-class DegradedRun:
-    """Everything one degraded run produced."""
+def _cells(options: Mapping[str, Any]) -> List[Cell]:
+    """One cell per (loss, churn) pair; a ``fault_plan`` replaces the loss axis.
 
-    result: ExperimentResult
-    submitted: int
-    succeeded: int
-    failed: int
-    unresolved: int
-    deadline_met: int
-    counters: ResilienceCounters
-    crashes: int
-    restarts: int
-    fault_dropped: int
-    #: ``None`` when the membership layer was disabled for the run.
-    membership: Optional[MembershipSummary] = None
-
-
-def _arm_churn(
-    system: GridSystem, config: ExperimentConfig
-) -> Tuple[int, int, List[Tuple[str, str, object]]]:
-    """Generate and schedule the run's churn events (if any).
-
-    Returns ``(crashes, restarts, churn_events)``.  A spec targeting
-    coordinators (or leaves) is resolved against the built hierarchy —
-    agents that currently have children.
+    Every run regenerates the base config's seeded workload, so all points
+    replay the identical requests.
     """
-    if config.churn is None or config.churn.rate == 0:
-        return 0, 0, []
-    coordinators = (
-        None
-        if config.churn.target == "any"
-        else [name for name, agent in system.agents.items() if agent.children]
+    base = experiment4_base_config(
+        master_seed=options["seed"], request_count=options["requests"]
     )
-    schedule = ChurnSchedule.generate(
-        system.topology.agent_names,
-        config.churn,
-        config.request_phase_seconds,
-        RngRegistry(config.master_seed).stream("churn"),
-        head=system.hierarchy.head.name,
-        coordinators=coordinators,
-    )
-    churn_events: List[Tuple[str, str, object]] = []
-    for event in schedule:
-        agent = system.agents[event.agent]
-        action = agent.deactivate if event.action == "crash" else agent.reactivate
-        churn_events.append(
-            (
-                event.agent,
-                event.action,
-                system.sim.schedule(
-                    event.time,
-                    action,
-                    priority=Priority.MONITORING,
-                    label=f"churn-{event.action}-{event.agent}",
-                ),
-            )
+    topology = case_study_topology()
+    plan = options["fault_plan"]
+    losses = [plan.drop_probability] if plan is not None else options["loss"]
+    return [
+        Cell(
+            name=f"loss{loss:g}-churn{churn:g}",
+            config=base,
+            topology=topology,
+            params={"loss_rate": loss, "churn_rate": churn},
         )
-    return schedule.crash_count, schedule.restart_count, churn_events
+        for churn in options["churn"]
+        for loss in losses
+    ]
 
 
-def run_degraded(
-    config: ExperimentConfig,
-    topology: Optional[GridTopology] = None,
-    *,
-    workload: Optional[List[WorkloadItem]] = None,
-    tracer: Optional["Tracer"] = None,
-    checkpoint_every: Optional[int] = None,
-    checkpoint_path: Optional[str] = None,
-) -> DegradedRun:
-    """Run *config* under its fault plan and churn schedule to a horizon.
-
-    Unlike the strict experiment loop, requests may end the run
-    unresolved (their REQUEST or RESULT was lost and nothing retried);
-    they are counted, not raised.  The run proceeds in two phases:
-
-    1. until every request resolves or the clock passes the last
-       deadline, with periodic processes and churn active;
-    2. a final drain with periodics stopped and leftover churn handles
-       cancelled, letting in-flight completions, retries, and ack
-       timeouts resolve — the queue is finite once nothing re-arms.
-
-    With ``checkpoint_every``/``checkpoint_path``, phase 1 writes a
-    resumable snapshot every N events (see :func:`resume_degraded`).
-    """
-    t_wall = time.perf_counter()
-    system = build_grid(config, topology, tracer=tracer)
-    items = (
-        workload
-        if workload is not None
-        else generate_workload(
-            system.topology.agent_names,
-            system.specs,
-            count=config.request_count,
-            interval=config.request_interval,
-            master_seed=config.master_seed,
-        )
-    )
-    system.start()
-    arrivals = {
-        index: system.sim.schedule(
-            item.submit_time,
-            tolerant_submitter(system, item),
-            priority=Priority.ARRIVAL,
-            label=f"arrival-{item.application}",
-        )
-        for index, item in enumerate(items)
-    }
-    crashes, restarts, churn_events = _arm_churn(system, config)
-    return _drive_degraded(
-        system,
-        items,
-        arrivals,
-        churn_events,
-        crashes=crashes,
-        restarts=restarts,
-        steps=0,
-        t_wall=t_wall,
-        checkpoint_every=checkpoint_every,
-        checkpoint_path=checkpoint_path,
-    )
-
-
-def checkpoint_degraded(
-    config: ExperimentConfig,
-    topology: Optional[GridTopology] = None,
-    *,
-    workload: Optional[List[WorkloadItem]] = None,
-    tracer: Optional["Tracer"] = None,
-    at_step: int,
-    path: str,
-) -> str:
-    """Run a degraded experiment for *at_step* events, snapshot, stop.
-
-    The counterpart of :func:`~repro.experiments.runner.checkpoint_experiment`
-    for faulty/churny runs; :func:`resume_degraded` continues the written
-    file.  Returns the snapshot digest.
-    """
-    if at_step < 1:
-        raise ExperimentError(f"at_step must be >= 1, got {at_step}")
-    system = build_grid(config, topology, tracer=tracer)
-    items = (
-        workload
-        if workload is not None
-        else generate_workload(
-            system.topology.agent_names,
-            system.specs,
-            count=config.request_count,
-            interval=config.request_interval,
-            master_seed=config.master_seed,
-        )
-    )
-    system.start()
-    arrivals = {
-        index: system.sim.schedule(
-            item.submit_time,
-            tolerant_submitter(system, item),
-            priority=Priority.ARRIVAL,
-            label=f"arrival-{item.application}",
-        )
-        for index, item in enumerate(items)
-    }
-    crashes, restarts, churn_events = _arm_churn(system, config)
-    for steps in range(1, at_step + 1):
-        if not system.sim.step():
-            raise ExperimentError(
-                f"run finished after {steps - 1} events, before at_step={at_step}"
-            )
-    return write_checkpoint(
-        path,
-        system,
-        items,
-        arrivals,
-        at_step,
-        kind="degraded",
-        extra={
-            "churn": [
-                {"agent": agent, "action": action, "event": handle.descriptor()}
-                for agent, action, handle in churn_events
-                if handle.pending
-            ],
-            "crashes": crashes,
-            "restarts": restarts,
-        },
-    )
-
-
-def resume_degraded(
-    path: str,
-    *,
-    tracer: Optional["Tracer"] = None,
-    checkpoint_every: Optional[int] = None,
-    checkpoint_path: Optional[str] = None,
-) -> DegradedRun:
-    """Resume a degraded run from a snapshot written by :func:`run_degraded`.
-
-    Pending churn timers are re-created alongside the component state, so
-    not-yet-fired crashes and restarts land at their original instants;
-    the continuation is byte-identical to the uninterrupted run.
-    """
-    from repro.checkpoint.format import read_snapshot
-
-    t_wall = time.perf_counter()
-    payload = read_snapshot(path)
-    system, items, arrivals = _rebuild_from_payload(payload, "degraded", tracer)
-    churn_events: List[Tuple[str, str, object]] = []
-    for entry in payload["churn"]:
-        agent = system.agents[str(entry["agent"])]
-        action = agent.deactivate if entry["action"] == "crash" else agent.reactivate
-        churn_events.append(
-            (
-                str(entry["agent"]),
-                str(entry["action"]),
-                system.sim.restore_event(entry["event"], action),
-            )
-        )
-    return _drive_degraded(
-        system,
-        items,
-        arrivals,
-        churn_events,
-        crashes=int(payload["crashes"]),
-        restarts=int(payload["restarts"]),
-        steps=int(payload["steps"]),
-        t_wall=t_wall,
-        checkpoint_every=checkpoint_every,
-        checkpoint_path=checkpoint_path,
-    )
-
-
-def _drive_degraded(
-    system: GridSystem,
-    items: List[WorkloadItem],
-    arrivals,
-    churn_events,
-    *,
-    crashes: int,
-    restarts: int,
-    steps: int,
-    t_wall: float,
-    checkpoint_every: Optional[int],
-    checkpoint_path: Optional[str],
-) -> DegradedRun:
-    if checkpoint_every is not None and checkpoint_path is None:
-        raise ExperimentError("checkpoint_every requires checkpoint_path")
-    horizon = max(item.deadline for item in items)
-
-    def resolved() -> bool:
-        return (
-            system.portal.submitted_count >= len(items)
-            and system.portal.pending_count == 0
-        )
-
-    while not resolved():
-        next_time = system.sim.next_event_time()
-        if next_time is None or next_time > horizon:
-            break
-        system.sim.step()
-        steps += 1
-        if steps > MAX_EVENTS:
-            raise ExperimentError(f"experiment exceeded {MAX_EVENTS} events")
-        if checkpoint_every is not None and steps % checkpoint_every == 0:
-            write_checkpoint(
-                checkpoint_path,
-                system,
-                items,
-                arrivals,
-                steps,
-                kind="degraded",
-                extra={
-                    "churn": [
-                        {
-                            "agent": agent,
-                            "action": action,
-                            "event": handle.descriptor(),
-                        }
-                        for agent, action, handle in churn_events
-                        if handle.pending
-                    ],
-                    "crashes": crashes,
-                    "restarts": restarts,
-                },
-            )
-    for _, _, handle in churn_events:
-        handle.cancel()
-    system.stop()
-    # Final drain: with periodics and churn off, only completions, retry
-    # timers, and in-flight messages remain — a finite queue.
-    while not resolved():
-        if not system.sim.step():
-            break
-        steps += 1
-        if steps > MAX_EVENTS:
-            raise ExperimentError(f"experiment exceeded {MAX_EVENTS} events")
-
-    records: List[CompletionRecord] = []
-    busy = {}
-    nodes = {}
-    for name, scheduler in system.schedulers.items():
-        records.extend(records_from_tasks(scheduler.executor.completed_tasks))
-        busy[name] = scheduler.executor.busy_intervals
-        nodes[name] = scheduler.resource.size
-    metrics = compute_metrics(records, busy, nodes, horizon=max(system.sim.now, 1e-9))
-    result = ExperimentResult(
-        config=system.config,
-        metrics=metrics,
-        records=records,
-        workload=items,
-        agent_stats={name: agent.stats for name, agent in system.agents.items()},
-        cache_stats=system.evaluator.cache.stats,
-        messages_sent=system.transport.sent,
-        rejected_count=len(system.portal.failures()),
-        wall_seconds=time.perf_counter() - t_wall,
-        messages_delivered=system.transport.delivered,
-        rng_digest=system.rngs.state_digest() if system.rngs is not None else "",
-    )
-    successes = system.portal.successes()
-    counters = ResilienceCounters.from_stats(
-        [agent.stats for agent in system.agents.values()] + [system.portal.stats]
-    )
-    plan = system.transport.fault_plan
-    return DegradedRun(
-        result=result,
-        submitted=system.portal.submitted_count,
-        succeeded=len(successes),
-        failed=len(system.portal.failures()),
-        unresolved=system.portal.pending_count,
-        deadline_met=sum(
-            1
-            for r in successes
-            if r.completion_time is not None and r.completion_time <= r.deadline
-        ),
-        counters=counters,
-        crashes=crashes,
-        restarts=restarts,
-        fault_dropped=plan.dropped_count if plan is not None else 0,
-        membership=(
-            MembershipSummary.from_system(system)
-            if system.config.membership.enabled
-            else None
-        ),
-    )
-
-
-@dataclass(frozen=True)
-class Experiment4Point:
-    """One operating point of the degradation grid."""
-
-    loss_rate: float
-    churn_rate: float
-    submitted: int
-    succeeded: int
-    failed: int
-    unresolved: int
-    deadline_met: int
-    epsilon: float
-    beta_percent: float
-    counters: ResilienceCounters
-    crashes: int
-    restarts: int
-    fault_dropped: int
-    messages_sent: int
-    messages_delivered: int
-    wall_seconds: float
-
-    @property
-    def completion_rate(self) -> float:
-        """Requests that produced a successful result / requests submitted."""
-        return self.succeeded / self.submitted if self.submitted else 0.0
-
-    @property
-    def deadline_met_rate(self) -> float:
-        """Requests completed by their deadline / requests submitted."""
-        return self.deadline_met / self.submitted if self.submitted else 0.0
-
-
-@dataclass
-class Experiment4Result:
-    """The full degradation study: one point per (loss, churn) pair."""
-
-    resilient: bool
-    request_count: int
-    master_seed: int
-    points: List[Experiment4Point]
-
-    def point(self, loss_rate: float, churn_rate: float) -> Experiment4Point:
-        """The point at exactly (*loss_rate*, *churn_rate*)."""
-        for p in self.points:
-            if p.loss_rate == loss_rate and p.churn_rate == churn_rate:
-                return p
-        raise ExperimentError(
-            f"no point at loss={loss_rate}, churn={churn_rate}"
-        )
-
-    @property
-    def worst_point(self) -> Experiment4Point:
-        """The highest-stress point (max loss, then max churn)."""
-        return max(self.points, key=lambda p: (p.loss_rate, p.churn_rate))
-
-
-def run_experiment4(
-    *,
-    request_count: int = 600,
-    master_seed: int = 2003,
-    loss_rates: Sequence[float] = DEFAULT_LOSS_RATES,
-    churn_rates: Sequence[float] = DEFAULT_CHURN_RATES,
-    jitter: float = 0.0,
-    resilient: bool = True,
-    fault_spec: Optional[FaultPlanSpec] = None,
-    base: Optional[ExperimentConfig] = None,
-    topology: Optional[GridTopology] = None,
-) -> Experiment4Result:
-    """Run the degradation grid and collect one point per fault level.
-
-    All points replay the identical seeded workload (generated once), so
-    differences between points are attributable to the injected faults
-    alone.  With ``fault_spec`` given, the loss grid is replaced by that
-    single plan (crossed with ``churn_rates`` as usual).
-    """
-    cfg = base if base is not None else experiment4_base_config(
-        master_seed=master_seed, request_count=request_count
-    )
-    topo = topology if topology is not None else case_study_topology()
-    workload = generate_workload(
-        topo.agent_names,
-        paper_application_specs(),
-        count=cfg.request_count,
-        interval=cfg.request_interval,
-        master_seed=cfg.master_seed,
-    )
-    losses: Sequence[Optional[float]] = (
-        [None] if fault_spec is not None else list(loss_rates)
-    )
-    points: List[Experiment4Point] = []
-    for churn_rate in churn_rates:
-        for loss in losses:
-            point_config = degradation_config(
-                cfg,
-                loss=loss if loss is not None else 0.0,
-                churn_rate=churn_rate,
-                jitter=jitter,
+def _contenders(options: Mapping[str, Any]) -> List[Contender]:
+    def arm(resilient: bool) -> Contender:
+        return Contender(
+            "resilient" if resilient else "no-retry",
+            lambda cell: degradation_config(
+                cell.config,
+                loss=cell.params["loss_rate"],
+                churn_rate=cell.params["churn_rate"],
+                jitter=options["jitter"],
                 resilient=resilient,
-                fault_spec=fault_spec,
+                fault_spec=options["fault_plan"],
+            ),
+        )
+
+    return [arm(False)] + ([] if options["no_retry"] else [arm(True)])
+
+
+def _checks(result: TournamentResult) -> List[str]:
+    """Full completion at zero faults; retries under loss; resilient >= ablation."""
+    failures = []
+    resilient = result.select(contender="resilient")
+    for p in resilient or result.points:
+        r = p.result
+        if p["loss_rate"] == 0.0 and p["churn_rate"] == 0.0 and r.completion_rate < 1.0:
+            failures.append(f"zero-fault point completed only {r.succeeded}/{r.submitted}")
+    if not resilient:
+        return failures
+    lossy = [p for p in resilient if p["loss_rate"] > 0]
+    if lossy and not any(p.result.counters.retries > 0 for p in lossy):
+        failures.append("no retries observed under message loss")
+    for p in resilient:
+        ours, theirs = p.result.succeeded, p.baseline.result.succeeded
+        if ours < theirs:
+            failures.append(
+                f"resilient completed {ours} < ablation {theirs} "
+                f"at loss={p['loss_rate']}, churn={p['churn_rate']}"
             )
-            run = run_degraded(point_config, topo, workload=workload)
-            assert point_config.faults is not None
-            points.append(
-                Experiment4Point(
-                    loss_rate=point_config.faults.drop_probability,
-                    churn_rate=churn_rate,
-                    submitted=run.submitted,
-                    succeeded=run.succeeded,
-                    failed=run.failed,
-                    unresolved=run.unresolved,
-                    deadline_met=run.deadline_met,
-                    epsilon=run.result.metrics.total.epsilon,
-                    beta_percent=run.result.metrics.total.beta_percent,
-                    counters=run.counters,
-                    crashes=run.crashes,
-                    restarts=run.restarts,
-                    fault_dropped=run.fault_dropped,
-                    messages_sent=run.result.messages_sent,
-                    messages_delivered=run.result.messages_delivered,
-                    wall_seconds=run.result.wall_seconds,
-                )
-            )
-    return Experiment4Result(
-        resilient=resilient,
-        request_count=cfg.request_count,
-        master_seed=cfg.master_seed,
-        points=points,
-    )
+    worst = max(resilient, key=lambda p: (p["loss_rate"], p["churn_rate"]))
+    ours, theirs = worst.result.succeeded, worst.baseline.result.succeeded
+    if worst.result.fault_dropped > 0 and ours <= theirs:
+        failures.append(
+            "resilient protocol not strictly better at the worst point "
+            f"({ours} vs {theirs})"
+        )
+    return failures
+
+
+EXPERIMENT4 = Tournament(
+    name="experiment4",
+    help="degradation study: case-study workload under loss/churn/jitter",
+    title=lambda result: "Experiment 4: degradation under injected faults — "
+    + ("resilient protocol" if result.select(contender="resilient") else "no-retry baseline"),
+    flags=(
+        ("--requests", dict(type=int, default=600)),
+        ("--seed", dict(type=int, default=2003)),
+        ("--loss", dict(type=float, nargs="+", default=[0.0, 0.05, 0.1, 0.2],
+                        metavar="P", help="per-message drop probabilities to sweep")),
+        ("--churn", dict(type=float, nargs="+", default=[0.0, 0.25],
+                         metavar="R",
+                         help="fractions of (non-head) agents crashed once")),
+        ("--jitter", dict(type=float, default=0.0, metavar="SECONDS",
+                          help="max uniform extra latency per message")),
+        ("--no-retry", dict(action="store_true",
+                            help="run only the fire-and-forget ablation "
+                            "(default: resilient protocol plus the ablation)")),
+        ("--fault-plan", dict(type=_read_fault_plan, metavar="PATH",
+                              help="JSON FaultPlanSpec replacing the --loss sweep "
+                              "(link faults, partitions, ...)")),
+    ),
+    check_help="exit non-zero unless the robustness invariants hold (full "
+    "completion at zero faults; retries under loss; resilient >= ablation "
+    "everywhere)",
+    cells=_cells,
+    contenders=_contenders,
+    columns=(
+        Column("loss", lambda p: f"{p['loss_rate']:.0%}"),
+        Column("churn", lambda p: f"{p['churn_rate']:.0%}"),
+        COMPLETED,
+        MET_DEADLINE,
+        UNRESOLVED,
+        Column("retries", lambda p: p.result.counters.retries),
+        Column("reroutes", lambda p: p.result.counters.reroutes),
+        Column("gave up", lambda p: p.result.counters.gave_up),
+        Column("crashes", lambda p: p.result.crashes),
+        EPSILON,
+        BETA,
+        Column("no-retry completed", lambda p: completed(p.baseline), paired=True),
+    ),
+    checks=_checks,
+    passed="all robustness invariants hold",
+    baseline="no-retry",
+)

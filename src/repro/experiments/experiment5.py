@@ -33,48 +33,41 @@ stricter deadline-met SLO the healing/static comparison turns on), the
 confirms), and the repair latency (mean seconds from confirmed death to
 re-parented).  All points replay one identical seeded workload, so every
 difference is attributable to the injected failures and the healing knob.
-
-Scale: pass a generated scenario topology/workload (PR 7's
-:mod:`repro.experiments.scenarios` with ``chaos="coordinator-churn"``)
-to run the same study on 500–1000-agent grids.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from typing import List, Optional, Sequence, Tuple
+from dataclasses import replace
+from typing import Any, List, Mapping
 
 from repro.agents.membership import MembershipConfig
 from repro.agents.resilience import ResilienceConfig
 from repro.errors import ExperimentError
 from repro.experiments.casestudy import GridTopology, case_study_topology
 from repro.experiments.config import ExperimentConfig
-from repro.experiments.experiment4 import (
-    MembershipSummary,
-    experiment4_base_config,
-    run_degraded,
+from repro.experiments.experiment4 import experiment4_base_config
+from repro.experiments.tournament import (
+    BETA,
+    COMPLETED,
+    EPSILON,
+    MET_DEADLINE,
+    Cell,
+    Column,
+    Contender,
+    Tournament,
+    TournamentResult,
 )
-from repro.experiments.workload import WorkloadItem, generate_workload
 from repro.net.faults import ChurnSpec, FaultPlanSpec, StragglerFault
-from repro.pace.workloads import paper_application_specs
 
 __all__ = [
-    "DEFAULT_CHURN_RATES",
-    "DEFAULT_STRAGGLER_COUNTS",
     "STRAGGLER_RESPONSE_DELAY",
     "STRAGGLER_SERVICE_FACTOR",
     "PERMANENT_DOWNTIME",
-    "Experiment5Point",
-    "Experiment5Result",
+    "EXPERIMENT5",
     "experiment5_config",
+    "healing_advantage",
     "leaf_names",
-    "run_experiment5",
 ]
-
-#: Default churn axis: no churn, and half the coordinators crashing.
-DEFAULT_CHURN_RATES: Tuple[float, ...] = (0.0, 0.5)
-#: Default straggler axis: clean, and two grey leaves.
-DEFAULT_STRAGGLER_COUNTS: Tuple[int, ...] = (0, 2)
 
 #: Grey-failure severity (see the detector-tuning note in
 #: :class:`~repro.agents.membership.MembershipConfig`): 3 s mean response
@@ -146,140 +139,129 @@ def experiment5_config(
     )
 
 
-@dataclass(frozen=True)
-class Experiment5Point:
-    """One operating point of the availability grid."""
+def _cells(options: Mapping[str, Any]) -> List[Cell]:
+    """One cell per (churn, stragglers) pair, all replaying one seeded workload.
 
-    churn_rate: float
-    straggler_count: int
-    healing: bool
-    submitted: int
-    succeeded: int
-    failed: int
-    unresolved: int
-    deadline_met: int
-    epsilon: float
-    upsilon_percent: float
-    beta_percent: float
-    crashes: int
-    membership: MembershipSummary
-    wall_seconds: float
-
-    @property
-    def completion_rate(self) -> float:
-        """Requests that produced a successful result / requests submitted."""
-        return self.succeeded / self.submitted if self.submitted else 0.0
-
-    @property
-    def deadline_met_rate(self) -> float:
-        """The SLO success rate: completed by the deadline / submitted.
-
-        This is the metric the healing-vs-static comparison turns on:
-        orphaned subtrees usually still *complete* requests (they absorb
-        locally), but without re-parenting they cannot load-balance, and
-        deadline attainment is what pays for it.
-        """
-        return self.deadline_met / self.submitted if self.submitted else 0.0
-
-
-@dataclass
-class Experiment5Result:
-    """The full availability study: each cell run healed and static."""
-
-    request_count: int
-    master_seed: int
-    points: List[Experiment5Point]
-
-    def point(
-        self, churn_rate: float, straggler_count: int, *, healing: bool
-    ) -> Experiment5Point:
-        """The point at exactly this cell and arm."""
-        for p in self.points:
-            if (
-                p.churn_rate == churn_rate
-                and p.straggler_count == straggler_count
-                and p.healing == healing
-            ):
-                return p
-        raise ExperimentError(
-            f"no point at churn={churn_rate}, stragglers={straggler_count}, "
-            f"healing={healing}"
-        )
-
-    def healing_advantage(
-        self, churn_rate: float, straggler_count: int
-    ) -> float:
-        """Deadline-met-rate delta, healing minus static, for one cell."""
-        healed = self.point(churn_rate, straggler_count, healing=True)
-        static = self.point(churn_rate, straggler_count, healing=False)
-        return healed.deadline_met_rate - static.deadline_met_rate
-
-
-def run_experiment5(
-    *,
-    request_count: int = 600,
-    master_seed: int = 2003,
-    churn_rates: Sequence[float] = DEFAULT_CHURN_RATES,
-    straggler_counts: Sequence[int] = DEFAULT_STRAGGLER_COUNTS,
-    base: Optional[ExperimentConfig] = None,
-    topology: Optional[GridTopology] = None,
-    workload: Optional[List[WorkloadItem]] = None,
-) -> Experiment5Result:
-    """Run the availability grid; every cell twice (healing and static).
-
-    All points replay the identical seeded workload (generated once for
-    the default topology, or passed in alongside a generated scenario's
-    topology for the 500–1000-agent tier).
+    Every run regenerates the base config's workload from its seed.
     """
-    cfg = base if base is not None else experiment4_base_config(
-        master_seed=master_seed, request_count=request_count
+    base = replace(
+        experiment4_base_config(
+            master_seed=options["seed"], request_count=options["requests"]
+        ),
+        name="experiment-5",
     )
-    cfg = replace(cfg, name="experiment-5")
-    topo = topology if topology is not None else case_study_topology()
-    items = (
-        workload
-        if workload is not None
-        else generate_workload(
-            topo.agent_names,
-            paper_application_specs(),
-            count=cfg.request_count,
-            interval=cfg.request_interval,
-            master_seed=cfg.master_seed,
+    topology = case_study_topology()
+    return [
+        Cell(
+            name=f"churn{churn:g}-grey{stragglers}",
+            config=base,
+            topology=topology,
+            params={"churn_rate": churn, "straggler_count": stragglers},
         )
+        for churn in sorted(options["churn"])
+        for stragglers in sorted(options["stragglers"])
+    ]
+
+
+def _contenders(options: Mapping[str, Any]) -> List[Contender]:
+    def arm(healing: bool) -> Contender:
+        return Contender(
+            "healing" if healing else "static",
+            lambda cell: experiment5_config(
+                cell.config,
+                cell.topology,
+                churn_rate=cell.params["churn_rate"],
+                straggler_count=cell.params["straggler_count"],
+                healing=healing,
+            ),
+        )
+
+    return [arm(True), arm(False)]
+
+
+def healing_advantage(
+    result: TournamentResult, churn_rate: float, straggler_count: int
+) -> float:
+    """Deadline-met-rate delta, healing minus static, for one cell."""
+    cell = dict(churn_rate=churn_rate, straggler_count=straggler_count)
+    healed = result.point(contender="healing", **cell).result
+    static = result.point(contender="static", **cell).result
+    return healed.deadline_met_rate - static.deadline_met_rate
+
+
+def _checks(result: TournamentResult) -> List[str]:
+    """Healing beats static under churn; no false confirms; orphans repaired."""
+    failures = []
+    for p in result.points:
+        m = p.result.membership
+        where = f"churn={p['churn_rate']}, grey={p['straggler_count']}"
+        if p.result.crashes == 0 and m.confirms > 0:
+            failures.append(
+                f"{m.confirms} confirmed deaths with zero crashes "
+                f"({where}, healing={p.contender == 'healing'}) — false positives"
+            )
+        if p.contender == "healing" and m.orphaned > (
+            m.adoptions_completed + m.promotions
+        ):
+            failures.append(
+                f"unrepaired orphans at {where}: {m.orphaned} orphaned, "
+                f"{m.adoptions_completed} adopted, {m.promotions} promoted"
+            )
+    churn_cells = sorted(
+        {(p["churn_rate"], p["straggler_count"]) for p in result.points if p["churn_rate"] > 0}
     )
-    points: List[Experiment5Point] = []
-    for healing in (True, False):
-        for churn_rate in churn_rates:
-            for straggler_count in straggler_counts:
-                point_config = experiment5_config(
-                    cfg,
-                    topo,
-                    churn_rate=churn_rate,
-                    straggler_count=straggler_count,
-                    healing=healing,
-                )
-                run = run_degraded(point_config, topo, workload=items)
-                assert run.membership is not None  # membership always on here
-                points.append(
-                    Experiment5Point(
-                        churn_rate=churn_rate,
-                        straggler_count=straggler_count,
-                        healing=healing,
-                        submitted=run.submitted,
-                        succeeded=run.succeeded,
-                        failed=run.failed,
-                        unresolved=run.unresolved,
-                        deadline_met=run.deadline_met,
-                        epsilon=run.result.metrics.total.epsilon,
-                        upsilon_percent=run.result.metrics.total.upsilon_percent,
-                        beta_percent=run.result.metrics.total.beta_percent,
-                        crashes=run.crashes,
-                        membership=run.membership,
-                        wall_seconds=run.result.wall_seconds,
-                    )
-                )
-    return Experiment5Result(
-        request_count=cfg.request_count,
-        master_seed=cfg.master_seed,
-        points=points,
-    )
+    for churn_rate, straggler_count in churn_cells:
+        advantage = healing_advantage(result, churn_rate, straggler_count)
+        if advantage <= 0:
+            failures.append(
+                f"healing does not beat the static hierarchy at "
+                f"churn={churn_rate}, grey={straggler_count} "
+                f"(deadline-SLO delta {advantage:+.1%})"
+            )
+    return failures
+
+
+def _repair_seconds(point) -> str:
+    m = point.result.membership
+    return f"{m.mean_repair_seconds:.2f}" if m.repair_count else "-"
+
+
+EXPERIMENT5 = Tournament(
+    name="experiment5",
+    help="availability study: coordinator churn x grey failures, "
+    "self-healing hierarchy vs static ablation",
+    title="Experiment 5: availability with a self-healing hierarchy",
+    flags=(
+        ("--requests", dict(type=int, default=600)),
+        ("--seed", dict(type=int, default=2003)),
+        ("--churn", dict(type=float, nargs="+", default=[0.0, 0.5],
+                         metavar="R",
+                         help="fractions of coordinators crashed permanently")),
+        ("--stragglers", dict(type=int, nargs="+",
+                              default=[0, 2], metavar="N",
+                              help="numbers of grey (slow, not dead) leaf agents")),
+    ),
+    check_help="exit non-zero unless the healing invariants hold (healing "
+    "strictly beats static on the deadline SLO in every churn cell; zero "
+    "confirmed deaths without a crash; every orphan repaired)",
+    cells=_cells,
+    contenders=_contenders,
+    columns=(
+        Column("churn", lambda p: f"{p['churn_rate']:.0%}"),
+        Column("grey", lambda p: p["straggler_count"]),
+        Column("healing", lambda p: "on" if p.contender == "healing" else "off"),
+        COMPLETED,
+        MET_DEADLINE,
+        Column("crashes", lambda p: p.result.crashes),
+        Column("suspects", lambda p: p.result.membership.suspects),
+        Column("confirms", lambda p: p.result.membership.confirms),
+        Column("orphaned", lambda p: p.result.membership.orphaned),
+        Column("repaired", lambda p: p.result.membership.adoptions_completed
+               + p.result.membership.promotions),
+        Column("repair (s)", _repair_seconds),
+        EPSILON,
+        BETA,
+    ),
+    checks=_checks,
+    passed="all healing invariants hold",
+)

@@ -25,37 +25,49 @@ and the §3.3 balancing metrics (ε, υ, β).  Every cell replays one
 identical workload across the three policies, so within a cell every
 difference is attributable to the dispatch rule alone.
 
-:func:`run_policy_invariants` backs ``repro.cli experiment6 --check``:
-it traces an auction run on the clean cell and a reservation run on the
-churn cell, feeds both streams through
-:func:`~repro.obs.check.check_trace` (which enforces every-auction-
+With ``--check`` every point runs traced: the auction point of the clean
+cell and the reservation point of the churn cell (:data:`PROBES`) must
+pass :func:`~repro.obs.check.check_trace` (which enforces every-auction-
 settles-or-times-out, no-double-booked-windows, and reservations-
-released-on-confirmed-death), and requires the runs to actually exercise
-the protocols (at least one settle, at least one booking).
+released-on-confirmed-death) and actually exercise their protocol (at
+least one settle, at least one booking).
 """
 
 from __future__ import annotations
 
 import json
-import time
-from dataclasses import asdict, dataclass, replace
-from typing import Dict, List, Optional, Sequence, Tuple
+from collections import Counter
+from dataclasses import asdict, replace
+from typing import Any, Dict, List, Mapping, Sequence, Tuple
 
 import repro.net.message as message_module
 from repro.agents.policy import POLICY_KINDS, GlobalPolicyConfig
 from repro.errors import ExperimentError
-from repro.experiments.casestudy import GridTopology, case_study_topology
-from repro.experiments.config import ExperimentConfig
+from repro.experiments.casestudy import case_study_topology
 from repro.experiments.experiment4 import (
-    DegradedRun,
     degradation_config,
     experiment4_base_config,
     run_degraded,
 )
 from repro.experiments.experiment5 import experiment5_config
+from repro.experiments.runner import Run
 from repro.experiments.scenarios import ScenarioSpec, generate_scenario
-from repro.experiments.workload import WorkloadItem, generate_workload
-from repro.obs import MemorySink, Tracer, Violation, canonical_lines, check_trace
+from repro.experiments.tournament import (
+    BETA,
+    COMPLETED,
+    EPSILON,
+    MET_DEADLINE,
+    UNRESOLVED,
+    UPSILON,
+    WALL,
+    Cell,
+    Column,
+    Contender,
+    Tournament,
+    TournamentResult,
+)
+from repro.experiments.workload import generate_workload
+from repro.obs import MemorySink, Tracer, canonical_lines, check_trace
 from repro.pace.workloads import paper_application_specs
 from repro.scheduling.scheduler import SchedulingPolicy
 
@@ -64,13 +76,9 @@ __all__ = [
     "DEFAULT_BURSTY_AGENTS",
     "LOSS_RATE",
     "CHURN_RATE",
-    "Experiment6Cell",
-    "Experiment6Point",
-    "Experiment6Result",
-    "InvariantRun",
+    "EXPERIMENT6",
+    "PROBES",
     "experiment6_cells",
-    "run_experiment6",
-    "run_policy_invariants",
     "verify_clean_parity",
 ]
 
@@ -81,23 +89,12 @@ CELLS: Tuple[str, ...] = ("clean", "loss", "bursty", "churn")
 LOSS_RATE = 0.2
 #: Churn cell severity — Experiment 5's default coordinator-churn rate.
 CHURN_RATE = 0.5
+#: The structural-invariant probes of ``--check``: (policy, cell) → the
+#: record kind proving the run exercised that policy's protocol.
+PROBES = {("auction", "clean"): "auction.settle", ("reservation", "churn"): "resv.book"}
 #: Bursty cell grid size.  Five times the case study, small enough that
 #: the full 3-policy tournament stays interactive.
 DEFAULT_BURSTY_AGENTS = 60
-
-
-@dataclass(frozen=True)
-class Experiment6Cell:
-    """One standing cell: its base config and the shared workload.
-
-    ``config`` still carries the *default* global policy; the tournament
-    stamps each contender in with :func:`dataclasses.replace`.
-    """
-
-    name: str
-    config: ExperimentConfig
-    topology: GridTopology
-    workload: Tuple[WorkloadItem, ...]
 
 
 def experiment6_cells(
@@ -106,62 +103,34 @@ def experiment6_cells(
     master_seed: int = 2003,
     bursty_agents: int = DEFAULT_BURSTY_AGENTS,
     cells: Sequence[str] = CELLS,
-) -> List[Experiment6Cell]:
+) -> List[Cell]:
     """Build the requested cells, each with one seeded shared workload.
 
     The clean/loss/churn cells share the case-study topology and one
     workload; the bursty cell generates its own larger grid and MMPP
     request stream (same master seed, so the whole tournament is one
     deterministic function of ``(request_count, master_seed,
-    bursty_agents)``).
+    bursty_agents)``).  Each cell's config still carries the *default*
+    global policy; the contenders stamp theirs in.
     """
     unknown = [c for c in cells if c not in CELLS]
     if unknown:
         raise ExperimentError(f"unknown experiment-6 cells {unknown!r}")
-    base = experiment4_base_config(
-        master_seed=master_seed, request_count=request_count
+    base = replace(
+        experiment4_base_config(master_seed=master_seed, request_count=request_count),
+        name="experiment-6",
     )
-    base = replace(base, name="experiment-6")
     topo = case_study_topology()
-    built: List[Experiment6Cell] = []
-    case_workload: Optional[Tuple[WorkloadItem, ...]] = None
-
-    def shared_workload() -> Tuple[WorkloadItem, ...]:
-        nonlocal case_workload
-        if case_workload is None:
-            case_workload = tuple(
-                generate_workload(
-                    topo.agent_names,
-                    paper_application_specs(),
-                    count=base.request_count,
-                    interval=base.request_interval,
-                    master_seed=base.master_seed,
-                )
-            )
-        return case_workload
-
+    workload = generate_workload(
+        topo.agent_names,
+        paper_application_specs(),
+        count=base.request_count,
+        interval=base.request_interval,
+        master_seed=base.master_seed,
+    )
+    built: List[Cell] = []
     for cell in cells:
-        if cell == "clean":
-            built.append(
-                Experiment6Cell(
-                    name="clean",
-                    config=replace(base, name=f"{base.name}-clean"),
-                    topology=topo,
-                    workload=shared_workload(),
-                )
-            )
-        elif cell == "loss":
-            built.append(
-                Experiment6Cell(
-                    name="loss",
-                    config=degradation_config(
-                        base, loss=LOSS_RATE, resilient=True
-                    ),
-                    topology=topo,
-                    workload=shared_workload(),
-                )
-            )
-        elif cell == "bursty":
+        if cell == "bursty":
             scenario = generate_scenario(
                 ScenarioSpec(
                     name="experiment-6-bursty",
@@ -173,163 +142,132 @@ def experiment6_cells(
             )
             # FIFO locally, like every scale-tier run: the bursty cell
             # measures the dispatch rule under load spikes, not the GA.
+            config = scenario.spec.config(policy=SchedulingPolicy.FIFO)
             built.append(
-                Experiment6Cell(
-                    name="bursty",
-                    config=scenario.spec.config(policy=SchedulingPolicy.FIFO),
-                    topology=scenario.topology,
-                    workload=scenario.workload,
-                )
+                Cell("bursty", config, scenario.topology,
+                     run_options={"workload": scenario.workload})
             )
-        elif cell == "churn":
-            built.append(
-                Experiment6Cell(
-                    name="churn",
-                    config=experiment5_config(
-                        base, topo, churn_rate=CHURN_RATE, healing=True
-                    ),
-                    topology=topo,
-                    workload=shared_workload(),
-                )
-            )
+            continue
+        if cell == "clean":
+            config = replace(base, name=f"{base.name}-clean")
+        elif cell == "loss":
+            config = degradation_config(base, loss=LOSS_RATE, resilient=True)
+        else:
+            config = experiment5_config(base, topo, churn_rate=CHURN_RATE, healing=True)
+        built.append(Cell(cell, config, topo, run_options={"workload": workload}))
     return built
 
 
-@dataclass(frozen=True)
-class Experiment6Point:
-    """One (policy × cell) entry of the tournament."""
-
-    policy: str
-    cell: str
-    submitted: int
-    succeeded: int
-    failed: int
-    unresolved: int
-    deadline_met: int
-    epsilon: float
-    upsilon_percent: float
-    beta_percent: float
-    wall_seconds: float
-
-    @property
-    def completion_rate(self) -> float:
-        """Requests that produced a successful result / requests submitted."""
-        return self.succeeded / self.submitted if self.submitted else 0.0
-
-    @property
-    def deadline_met_rate(self) -> float:
-        """Requests completed by their deadline / requests submitted."""
-        return self.deadline_met / self.submitted if self.submitted else 0.0
-
-
-@dataclass
-class Experiment6Result:
-    """The full tournament: one point per (policy × cell).
-
-    ``parity`` is ``None`` unless the run was asked to verify the eq10
-    clean-cell anchor (``verify_parity=True``); then it holds the list of
-    mismatch descriptions (empty = byte-identical, as required).
-    """
-
-    request_count: int
-    master_seed: int
-    bursty_agents: int
-    points: List[Experiment6Point]
-    parity: Optional[List[str]] = None
-
-    def point(self, policy: str, cell: str) -> Experiment6Point:
-        """The point at exactly (*policy*, *cell*)."""
-        for p in self.points:
-            if p.policy == policy and p.cell == cell:
-                return p
-        raise ExperimentError(f"no point at policy={policy!r}, cell={cell!r}")
-
-    def cell_points(self, cell: str) -> List[Experiment6Point]:
-        """Every policy's point for one cell, in POLICY_KINDS order."""
-        points = [p for p in self.points if p.cell == cell]
-        return sorted(points, key=lambda p: POLICY_KINDS.index(p.policy))
-
-
-def _run_point(cell: Experiment6Cell, kind: str) -> DegradedRun:
-    config = replace(
-        cell.config,
-        name=f"{cell.config.name}-{kind}",
-        global_policy=GlobalPolicyConfig(kind=kind),
-    )
-    return run_degraded(config, cell.topology, workload=list(cell.workload))
-
-
-def run_experiment6(
-    *,
-    request_count: int = 600,
-    master_seed: int = 2003,
-    bursty_agents: int = DEFAULT_BURSTY_AGENTS,
-    policies: Sequence[str] = POLICY_KINDS,
-    cells: Sequence[str] = CELLS,
-    verify_parity: bool = False,
-) -> Experiment6Result:
-    """Run the tournament: every policy through every requested cell.
-
-    Within a cell, all policies replay the identical workload.  With
-    ``verify_parity`` the clean cell's eq10 point is additionally
-    re-traced against the default configuration and the result's
-    ``parity`` lists any divergence (it must be empty).
-    """
-    unknown = [p for p in policies if p not in POLICY_KINDS]
+def _contenders(options: Mapping[str, Any]) -> List[Contender]:
+    unknown = [p for p in options["policies"] if p not in POLICY_KINDS]
     if unknown:
         raise ExperimentError(f"unknown global policies {unknown!r}")
-    built = experiment6_cells(
-        request_count=request_count,
-        master_seed=master_seed,
-        bursty_agents=bursty_agents,
-        cells=cells,
-    )
-    points: List[Experiment6Point] = []
-    for cell in built:
-        for kind in policies:
-            t_wall = time.perf_counter()
-            run = _run_point(cell, kind)
-            points.append(
-                Experiment6Point(
-                    policy=kind,
-                    cell=cell.name,
-                    submitted=run.submitted,
-                    succeeded=run.succeeded,
-                    failed=run.failed,
-                    unresolved=run.unresolved,
-                    deadline_met=run.deadline_met,
-                    epsilon=run.result.metrics.total.epsilon,
-                    upsilon_percent=run.result.metrics.total.upsilon_percent,
-                    beta_percent=run.result.metrics.total.beta_percent,
-                    wall_seconds=time.perf_counter() - t_wall,
-                )
-            )
-    parity = None
-    if verify_parity:
-        parity = verify_clean_parity(
-            request_count=request_count, master_seed=master_seed
+
+    def arm(kind: str) -> Contender:
+        return Contender(
+            kind,
+            lambda cell: replace(
+                cell.config,
+                name=f"{cell.config.name}-{kind}",
+                global_policy=GlobalPolicyConfig(kind=kind),
+            ),
         )
-    return Experiment6Result(
-        request_count=request_count,
-        master_seed=master_seed,
-        bursty_agents=bursty_agents,
-        points=points,
-        parity=parity,
-    )
+
+    return [arm(kind) for kind in POLICY_KINDS if kind in options["policies"]]
+
+
+def _measure(run: Run, options: Mapping[str, Any]) -> Dict[str, Any]:
+    """Protocol record counts and checker violations of a traced point."""
+    if run.system.tracer is None:
+        return {}
+    records = run.system.tracer.records
+    return {
+        "protocol_records": dict(
+            Counter(r.kind for r in records if r.kind.startswith(("auction.", "resv.")))
+        ),
+        "violations": check_trace(records),
+    }
+
+
+def _checks(result: TournamentResult) -> List[str]:
+    """eq10 clean-cell parity, full clean-cell completion, clean probe traces."""
+    options = result.options
+    failures = []
+    if "clean" in options["cells"]:
+        failures += [
+            f"eq10 clean cell is not the seed path: {mismatch}"
+            for mismatch in verify_clean_parity(
+                request_count=options["requests"], master_seed=options["seed"]
+            )
+        ]
+    for p in result.select(cell="clean"):
+        if p.result.completion_rate < 1.0:
+            failures.append(
+                f"clean cell incomplete under {p.contender}: "
+                f"{p.result.succeeded}/{p.result.submitted}"
+            )
+    for (policy, cell), kind in PROBES.items():
+        for p in result.select(contender=policy, cell=cell):
+            for violation in p["violations"]:
+                failures.append(
+                    f"{policy}/{cell} trace violates {violation.rule} "
+                    f"at t={violation.t:.3f}: {violation.message}"
+                )
+            if not p["protocol_records"].get(kind):
+                failures.append(
+                    f"{policy}/{cell} run never produced a {kind} record — "
+                    "the protocol was not exercised"
+                )
+    return failures
+
+
+EXPERIMENT6 = Tournament(
+    name="experiment6",
+    help="global-policy tournament: eq10 vs auction vs reservation "
+    "across clean/loss/bursty/churn cells",
+    title="Experiment 6: global-policy tournament",
+    flags=(
+        ("--requests", dict(type=int, default=120)),
+        ("--seed", dict(type=int, default=2003)),
+        ("--bursty-agents", dict(type=int, default=DEFAULT_BURSTY_AGENTS,
+                                 metavar="N",
+                                 help="grid size of the generated MMPP bursty cell")),
+        ("--policies", dict(nargs="+", default=list(POLICY_KINDS),
+                            choices=POLICY_KINDS, metavar="KIND",
+                            help="which global policies to enter")),
+        ("--cells", dict(nargs="+", default=list(CELLS), choices=CELLS,
+                         metavar="CELL", help="which standing cells to run")),
+    ),
+    check_help="exit non-zero unless the policy invariants hold (eq10 clean "
+    "cell byte-identical to the seed path; every auction settles or times "
+    "out; no double-booked reservation windows; reservations released on "
+    "confirmed death)",
+    cells=lambda o: experiment6_cells(
+        request_count=o["requests"],
+        master_seed=o["seed"],
+        bursty_agents=o["bursty_agents"],
+        cells=o["cells"],
+    ),
+    contenders=_contenders,
+    columns=(
+        Column("cell", lambda p: p.cell.name),
+        Column("policy", lambda p: p.contender),
+        COMPLETED,
+        MET_DEADLINE,
+        UNRESOLVED,
+        EPSILON,
+        UPSILON,
+        BETA,
+        WALL,
+    ),
+    checks=_checks,
+    passed="all policy invariants hold",
+    traced=lambda options: options["check"],
+    measure=_measure,
+)
 
 
 # ------------------------------------------------------------ verification
-
-
-def _traced_clean_run(
-    config: ExperimentConfig,
-    topology: GridTopology,
-    workload: Sequence[WorkloadItem],
-) -> Tuple[DegradedRun, List[str]]:
-    message_module.set_message_counter(0)
-    tracer = Tracer(MemorySink())
-    run = run_degraded(config, topology, workload=list(workload), tracer=tracer)
-    return run, canonical_lines(tracer.records)
 
 
 def verify_clean_parity(
@@ -354,12 +292,15 @@ def verify_clean_parity(
             kind="eq10", bid_timeout=7.5, reservation_timeout=11.0
         ),
     )
-    base_run, base_lines = _traced_clean_run(
-        baseline_cfg, cell.topology, cell.workload
-    )
-    expl_run, expl_lines = _traced_clean_run(
-        explicit_cfg, cell.topology, cell.workload
-    )
+    runs = []
+    for config in (baseline_cfg, explicit_cfg):
+        message_module.set_message_counter(0)
+        tracer = Tracer(MemorySink())
+        result = run_degraded(
+            config, cell.topology, workload=cell.run_options["workload"], tracer=tracer
+        )
+        runs.append((result, canonical_lines(tracer.records)))
+    (base_run, base_lines), (expl_run, expl_lines) = runs
     mismatches: List[str] = []
     if base_lines != expl_lines:
         first = next(
@@ -376,79 +317,15 @@ def verify_clean_parity(
         )
     # Serialise before comparing: NaN cells (idle resources in short
     # runs) are equal as JSON text but never as floats.
-    base_metrics = json.dumps(asdict(base_run.result.metrics), sort_keys=True)
-    expl_metrics = json.dumps(asdict(expl_run.result.metrics), sort_keys=True)
+    base_metrics = json.dumps(asdict(base_run.metrics), sort_keys=True)
+    expl_metrics = json.dumps(asdict(expl_run.metrics), sort_keys=True)
     if base_metrics != expl_metrics:
         mismatches.append("balancing metrics differ")
-    for field in ("submitted", "succeeded", "failed", "deadline_met"):
+    for field in (
+        "submitted", "succeeded", "failed", "deadline_met",
+        "messages_sent", "messages_delivered", "rng_digest",
+    ):
         a, b = getattr(base_run, field), getattr(expl_run, field)
         if a != b:
             mismatches.append(f"{field} differs: {a} vs {b}")
-    for field in ("messages_sent", "messages_delivered", "rng_digest"):
-        a = getattr(base_run.result, field)
-        b = getattr(expl_run.result, field)
-        if a != b:
-            mismatches.append(f"{field} differs: {a} vs {b}")
     return mismatches
-
-
-@dataclass(frozen=True)
-class InvariantRun:
-    """One traced policy run and what the checker made of it."""
-
-    policy: str
-    cell: str
-    violations: Tuple[Violation, ...]
-    record_counts: Dict[str, int]
-    completion_rate: float
-
-
-def run_policy_invariants(
-    *, request_count: int = 120, master_seed: int = 2003
-) -> List[InvariantRun]:
-    """Trace the structural-invariant probe runs for ``--check``.
-
-    An auction run on the clean cell and a reservation run on the churn
-    cell (churn exercises release-on-confirmed-death), each through
-    :func:`~repro.obs.check.check_trace`.  The caller asserts zero
-    violations *and* that the protocols actually fired (≥ 1
-    ``auction.settle``, ≥ 1 ``resv.book``).
-    """
-    cells = {
-        cell.name: cell
-        for cell in experiment6_cells(
-            request_count=request_count,
-            master_seed=master_seed,
-            cells=("clean", "churn"),
-        )
-    }
-    probes = (("auction", "clean"), ("reservation", "churn"))
-    out: List[InvariantRun] = []
-    for kind, cell_name in probes:
-        cell = cells[cell_name]
-        config = replace(
-            cell.config,
-            name=f"{cell.config.name}-{kind}",
-            global_policy=GlobalPolicyConfig(kind=kind),
-        )
-        message_module.set_message_counter(0)
-        tracer = Tracer(MemorySink())
-        run = run_degraded(
-            config, cell.topology, workload=list(cell.workload), tracer=tracer
-        )
-        counts: Dict[str, int] = {}
-        for record in tracer.records:
-            if record.kind.startswith(("auction.", "resv.")):
-                counts[record.kind] = counts.get(record.kind, 0) + 1
-        out.append(
-            InvariantRun(
-                policy=kind,
-                cell=cell_name,
-                violations=tuple(check_trace(tracer.records)),
-                record_counts=counts,
-                completion_rate=(
-                    run.succeeded / run.submitted if run.submitted else 0.0
-                ),
-            )
-        )
-    return out

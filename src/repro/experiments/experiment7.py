@@ -32,42 +32,42 @@ sizes), and the §3.3 balancing metrics (ε, υ, β).  Every run is traced;
 with ``check=True`` each trace additionally goes through
 :func:`~repro.obs.check.check_trace`, whose ``dispatch-after-inputs``
 rule proves no task started before all parent outputs arrived at its
-cluster.
+cluster.  Workflow runs use the strict mode of
+:class:`~repro.experiments.runner.Run`.
 """
 
 from __future__ import annotations
 
-import time
-from dataclasses import dataclass, replace
-from typing import Dict, List, Sequence, Tuple
+from dataclasses import replace
+from typing import Any, Dict, List, Mapping, Sequence, Tuple
 
-import repro.net.message as message_module
 from repro.errors import ExperimentError
-from repro.experiments.casestudy import GridTopology, case_study_topology
+from repro.experiments.casestudy import case_study_topology
 from repro.experiments.config import ExperimentConfig
-from repro.experiments.runner import MAX_EVENTS, GridSystem, build_grid
-from repro.experiments.scenarios import (
-    ScenarioSpec,
-    WorkflowItem,
-    generate_workflows,
+from repro.experiments.runner import GridSystem, Run
+from repro.experiments.scenarios import ScenarioSpec, generate_workflows
+from repro.experiments.tournament import (
+    BETA,
+    EPSILON,
+    UPSILON,
+    WALL,
+    Cell,
+    Column,
+    Contender,
+    Tournament,
+    TournamentResult,
 )
-from repro.metrics.balancing import compute_metrics
-from repro.metrics.records import CompletionRecord, records_from_tasks
-from repro.obs import MemorySink, Tracer, Violation, check_trace
+from repro.obs import check_trace
 from repro.scheduling.scheduler import SchedulingPolicy
-from repro.sim.events import Priority
 from repro.tasks.graph import WORKFLOW_SHAPES, TaskGraph
-from repro.tasks.workflow import WorkflowCoordinator
 
 __all__ = [
     "ARRIVALS",
     "CELLS",
     "MODES",
-    "Experiment7Cell",
-    "Experiment7Point",
-    "Experiment7Result",
+    "EXPERIMENT7",
     "experiment7_cells",
-    "run_experiment7",
+    "slo_regressions",
 ]
 
 #: Arrival processes the standing cells sweep.
@@ -93,25 +93,12 @@ _SPAN_REQUESTS = 25
 _DEADLINE_SCALE = 0.7
 
 
-@dataclass(frozen=True)
-class Experiment7Cell:
-    """One standing cell: its config, release mode, and workflow stream."""
-
-    name: str
-    shape: str  # "fork-join" | "map-reduce" | "montage" | "mixed"
-    arrival: str
-    release_mode: str  # "staged" | "eager"
-    config: ExperimentConfig
-    topology: GridTopology
-    workflows: Tuple[WorkflowItem, ...]
-
-
 def experiment7_cells(
     *,
     workflow_count: int = 8,
     master_seed: int = 2003,
     cells: Sequence[str] = CELLS,
-) -> List[Experiment7Cell]:
+) -> List[Cell]:
     """Build the requested cells, each with one seeded workflow stream.
 
     Every cell lives on the case-study grid; the stream is a pure
@@ -126,7 +113,7 @@ def experiment7_cells(
             f"workflow_count must be >= 1, got {workflow_count}"
         )
     topo = case_study_topology()
-    built: List[Experiment7Cell] = []
+    built: List[Cell] = []
     for name in cells:
         if name == "pipeline":
             shape, arrival, release_mode = "mixed", "uniform", "eager"
@@ -151,79 +138,18 @@ def experiment7_cells(
             master_seed=master_seed,
         )
         built.append(
-            Experiment7Cell(
-                name=name,
-                shape=shape,
-                arrival=arrival,
-                release_mode=release_mode,
-                config=config,
-                topology=topo,
-                workflows=tuple(generate_workflows(spec, topo)),
+            Cell(
+                name,
+                config,
+                topo,
+                params={"shape": shape, "arrival": arrival, "release_mode": release_mode},
+                run_options={
+                    "workflows": tuple(generate_workflows(spec, topo)),
+                    "release_mode": release_mode,
+                },
             )
         )
     return built
-
-
-@dataclass(frozen=True)
-class Experiment7Point:
-    """One (cell × mode) entry of the comparison."""
-
-    cell: str
-    mode: str  # "aware" | "naive"
-    workflows: int
-    workflows_succeeded: int
-    deadline_met: int
-    tasks_submitted: int
-    tasks_succeeded: int
-    bytes_moved: float
-    epsilon: float
-    upsilon_percent: float
-    beta_percent: float
-    wall_seconds: float
-    dag_records: Dict[str, int]
-    violations: Tuple[Violation, ...] = ()
-
-    @property
-    def completion_rate(self) -> float:
-        """Workflows with every node succeeded / workflows started."""
-        return self.workflows_succeeded / self.workflows if self.workflows else 0.0
-
-    @property
-    def slo_rate(self) -> float:
-        """Workflows completing by their whole-graph deadline / started."""
-        return self.deadline_met / self.workflows if self.workflows else 0.0
-
-
-@dataclass
-class Experiment7Result:
-    """The full comparison: one point per (cell × mode)."""
-
-    workflow_count: int
-    master_seed: int
-    points: List[Experiment7Point]
-
-    def point(self, cell: str, mode: str) -> Experiment7Point:
-        """The point at exactly (*cell*, *mode*)."""
-        for p in self.points:
-            if p.cell == cell and p.mode == mode:
-                return p
-        raise ExperimentError(f"no point at cell={cell!r}, mode={mode!r}")
-
-    def slo_regressions(self) -> List[str]:
-        """Cells where the aware contender loses to naive on deadline SLO."""
-        out = []
-        for cell in sorted({p.cell for p in self.points}):
-            aware, naive = self.point(cell, "aware"), self.point(cell, "naive")
-            if aware.deadline_met < naive.deadline_met:
-                out.append(
-                    f"{cell}: aware met {aware.deadline_met} deadlines vs "
-                    f"naive {naive.deadline_met}"
-                )
-        return out
-
-    def violations(self) -> List[Violation]:
-        """Every checker violation across every traced point."""
-        return [v for p in self.points for v in p.violations]
 
 
 def _node_durations(
@@ -246,142 +172,132 @@ def _node_durations(
     }
 
 
-def _run_cell_mode(
-    cell: Experiment7Cell, mode: str, *, check: bool = False
-) -> Experiment7Point:
-    """Replay *cell*'s workflow stream under one contender, traced."""
-    t_wall = time.perf_counter()
-    config = replace(cell.config, name=f"{cell.config.name}-{mode}")
-    if mode == "aware" and cell.release_mode == "staged":
-        config = replace(
-            config, discovery=replace(config.discovery, data_gravity=True)
-        )
-    message_module.set_message_counter(0)
-    tracer = Tracer(MemorySink())
-    system = build_grid(config, cell.topology, tracer=tracer)
-    coordinator = WorkflowCoordinator(
-        system.portal,
-        {name: spec.model for name, spec in system.specs.items()},
-        tracer=tracer,
-    )
-    system.start()
-    started: List[Tuple[WorkflowItem, int]] = []
+def _aware_config(cell: Cell) -> ExperimentConfig:
+    config = replace(cell.config, name=f"{cell.config.name}-aware")
+    if cell.params["release_mode"] == "staged":
+        config = replace(config, discovery=replace(config.discovery, data_gravity=True))
+    return config
 
-    def _starter(item: WorkflowItem):
-        def start() -> None:
-            graph = item.graph()
-            durations = (
-                _node_durations(system, graph, item.agent_name)
-                if mode == "aware"
-                else None
-            )
-            workflow_id = coordinator.start_workflow(
-                graph,
-                system.agents[item.agent_name],
-                item.deadline,
-                mode=cell.release_mode,
-                durations=durations,
-            )
-            started.append((item, workflow_id))
 
-        return start
-
-    for item in cell.workflows:
-        system.sim.schedule(
-            item.submit_time,
-            _starter(item),
-            priority=Priority.ARRIVAL,
-            label=f"workflow-{item.shape}",
-            lane=item.agent_name,
-        )
-    steps = 0
-    while (
-        len(started) < len(cell.workflows)
-        or system.portal.pending_count > 0
-        or not coordinator.all_resolved
-    ):
-        if not system.sim.step():
-            raise ExperimentError(
-                f"experiment-7 {cell.name}/{mode}: event queue drained with "
-                f"{system.portal.pending_count} requests pending"
-            )
-        steps += 1
-        if steps > MAX_EVENTS:
-            raise ExperimentError(f"experiment exceeded {MAX_EVENTS} events")
-    system.stop()
-
+def _measure(run: Run, options: Mapping[str, Any]) -> Dict[str, Any]:
+    """Workflow-level outcomes and the DAG record counts of one traced run."""
+    results = run.system.portal.results
     deadline_met = 0
-    for item, workflow_id in started:
-        completion = coordinator.run(workflow_id).completion_time(
-            system.portal.results
-        )
+    for item, workflow_id in run.started:
+        completion = run.coordinator.run(workflow_id).completion_time(results)
         if completion is not None and completion <= item.deadline:
             deadline_met += 1
-    runs = coordinator.runs.values()
-    records: List[CompletionRecord] = []
-    busy = {}
-    nodes = {}
-    for name, scheduler in system.schedulers.items():
-        records.extend(records_from_tasks(scheduler.executor.completed_tasks))
-        busy[name] = scheduler.executor.busy_intervals
-        nodes[name] = scheduler.resource.size
-    metrics = compute_metrics(records, busy, nodes)
+    records = run.system.tracer.records
     bytes_moved = 0.0
     dag_records: Dict[str, int] = {}
-    for record in tracer.records:
+    for record in records:
         if record.kind.startswith("dag."):
             dag_records[record.kind] = dag_records.get(record.kind, 0) + 1
             if record.kind == "dag.transfer":
                 bytes_moved += record.size
-    violations: Tuple[Violation, ...] = ()
-    if check:
-        violations = tuple(check_trace(tracer.records))
-    return Experiment7Point(
-        cell=cell.name,
-        mode=mode,
-        workflows=len(started),
-        workflows_succeeded=sum(1 for run in runs if run.succeeded),
-        deadline_met=deadline_met,
-        tasks_submitted=sum(len(run.released) for run in runs),
-        tasks_succeeded=sum(len(run.sources) for run in runs),
-        bytes_moved=bytes_moved,
-        epsilon=metrics.total.epsilon,
-        upsilon_percent=metrics.total.upsilon_percent,
-        beta_percent=metrics.total.beta_percent,
-        wall_seconds=time.perf_counter() - t_wall,
-        dag_records=dag_records,
-        violations=violations,
-    )
+    runs = run.coordinator.runs.values()
+    return {
+        "workflows": len(run.started),
+        "workflows_succeeded": sum(1 for r in runs if r.succeeded),
+        # Whole-graph deadlines: this shadows the per-request count.
+        "deadline_met": deadline_met,
+        "tasks_submitted": sum(len(r.released) for r in runs),
+        "tasks_succeeded": sum(len(r.sources) for r in runs),
+        "bytes_moved": bytes_moved,
+        "dag_records": dag_records,
+        "violations": check_trace(records) if options["check"] else [],
+    }
 
 
-def run_experiment7(
-    *,
-    workflow_count: int = 8,
-    master_seed: int = 2003,
-    cells: Sequence[str] = CELLS,
-    modes: Sequence[str] = MODES,
-    check: bool = False,
-) -> Experiment7Result:
-    """Run the comparison: both contenders through every requested cell.
+def _share(count: int, of: int) -> str:
+    return f"{count}/{of} ({count / of if of else 0.0:.0%})"
 
-    Within a cell both modes replay the identical workflow stream, so
-    every difference is attributable to the precedence metadata (and, in
-    staged cells, data gravity) alone.  With ``check=True`` every traced
-    run also goes through :func:`~repro.obs.check.check_trace` and the
-    violations land on the points.
-    """
-    unknown = [m for m in modes if m not in MODES]
-    if unknown:
-        raise ExperimentError(f"unknown experiment-7 modes {unknown!r}")
-    built = experiment7_cells(
-        workflow_count=workflow_count, master_seed=master_seed, cells=cells
-    )
-    points: List[Experiment7Point] = []
-    for cell in built:
-        for mode in modes:
-            points.append(_run_cell_mode(cell, mode, check=check))
-    return Experiment7Result(
-        workflow_count=workflow_count,
-        master_seed=master_seed,
-        points=points,
-    )
+
+def slo_regressions(result: TournamentResult) -> List[str]:
+    """Cells where the aware contender loses to naive on deadline SLO."""
+    out = []
+    for cell in sorted({p.cell.name for p in result.points}):
+        aware = result.point(cell=cell, contender="aware")["deadline_met"]
+        naive = result.point(cell=cell, contender="naive")["deadline_met"]
+        if aware < naive:
+            out.append(f"{cell}: aware met {aware} deadlines vs naive {naive}")
+    return out
+
+
+def _checks(result: TournamentResult) -> List[str]:
+    """Gates exercised, every workflow resolved, aware never loses on SLO."""
+    failures = []
+    for p in result.points:
+        where = f"{p.cell.name}/{p.contender}"
+        for violation in p["violations"]:
+            failures.append(
+                f"{where} trace violates {violation.rule} "
+                f"at t={violation.t:.3f}: {violation.message}"
+            )
+        if not p["dag_records"].get("dag.ready"):
+            failures.append(
+                f"{where} run produced no dag.ready records — "
+                "the precedence gates were not exercised"
+            )
+        if p["workflows_succeeded"] < p["workflows"]:
+            failures.append(
+                f"{where}: only {p['workflows_succeeded']}/"
+                f"{p['workflows']} workflows completed"
+            )
+    for regression in slo_regressions(result):
+        failures.append(f"aware lost the deadline SLO in {regression}")
+    met = {
+        mode: sum(p["deadline_met"] for p in result.select(contender=mode))
+        for mode in MODES
+    }
+    if met["aware"] <= met["naive"]:
+        failures.append(
+            f"aware does not beat naive overall: {met['aware']} vs "
+            f"{met['naive']} deadlines met"
+        )
+    return failures
+
+
+EXPERIMENT7 = Tournament(
+    name="experiment7",
+    help="DAG workloads: precedence-aware vs precedence-naive "
+    "scheduling across graph shapes and arrival processes",
+    title="Experiment 7: precedence-aware vs naive DAG scheduling",
+    flags=(
+        ("--workflows", dict(type=int, default=8, metavar="N",
+                             help="workflow instances per cell")),
+        ("--seed", dict(type=int, default=2003)),
+        ("--cells", dict(nargs="+", default=None, metavar="CELL",
+                         help="which standing cells to run (default: all; see "
+                         "repro.experiments.experiment7.CELLS)")),
+    ),
+    check_help="exit non-zero unless the workflow invariants hold (no task "
+    "dispatched before its inputs arrived; every workflow resolves; aware "
+    "never loses to naive on the deadline SLO and beats it overall)",
+    cells=lambda o: experiment7_cells(
+        workflow_count=o["workflows"], master_seed=o["seed"], cells=o["cells"] or CELLS
+    ),
+    contenders=lambda o: [
+        Contender("aware", _aware_config, {"durations": _node_durations}),
+        Contender(
+            "naive", lambda cell: replace(cell.config, name=f"{cell.config.name}-naive")
+        ),
+    ],
+    columns=(
+        Column("cell", lambda p: p.cell.name),
+        Column("mode", lambda p: p.contender),
+        Column("workflows", lambda p: _share(p["workflows_succeeded"], p["workflows"])),
+        Column("met deadline", lambda p: _share(p["deadline_met"], p["workflows"])),
+        Column("tasks", lambda p: f"{p['tasks_succeeded']}/{p['tasks_submitted']}"),
+        Column("bytes moved", lambda p: round(p["bytes_moved"], 1)),
+        EPSILON,
+        UPSILON,
+        BETA,
+        WALL,
+    ),
+    checks=_checks,
+    passed="all workflow invariants hold",
+    mode="strict",
+    traced=lambda options: True,
+    measure=_measure,
+)

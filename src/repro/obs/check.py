@@ -3,54 +3,11 @@
 :func:`check_trace` replays a record stream and proves the system-level
 invariants the simulation is supposed to uphold — the properties that
 stay true no matter which seed, fault plan, or topology produced the
-trace (DESIGN.md "Trace determinism" section):
+trace (DESIGN.md "Trace determinism" section).
 
-``clock-monotone``
-    Virtual time never goes backwards across the record stream.
-``dispatch-after-queue``
-    A task is never dispatched before it entered its scheduler's queue,
-    and never started before the dispatch decision's own time (no
-    scheduling into the past).
-``send-after-down``
-    No message is sent from an endpoint between its ``agent.down`` and
-    the matching ``agent.up`` — a crashed agent has no process to send
-    from.
-``ack-resolution``
-    Every request that was ACKed by the resilience layer eventually
-    completes on some resource or gets a portal-recorded result
-    (including a synthesized failure).  The one legitimate escape is the
-    ACKing agent crashing *after* the ACK while still holding the
-    forward — those requests are excused, not flagged.
-``evolve-monotone``
-    Within one ``GAScheduler.evolve`` call the per-generation best cost
-    never increases: elitism always carries the incumbent forward.
-``no-suspected-dispatch``
-    An agent never forwards a request to a peer it currently holds under
-    suspicion (``member.suspect`` without a later ``member.alive`` /
-    ``member.dead``) — the membership layer's performance-info quarantine
-    must keep eq.-(10) matchmaking away from possibly-dead neighbours.
-``bid-settles-or-times-out``
-    Every ``auction.open`` is eventually answered by exactly one
-    ``auction.settle`` (all bids in, timeout, or the auctioneer's own
-    crash) — an auction is never silently abandoned, reopened while
-    unsettled, or settled without having opened (the one exception being
-    the recordable ``"no-bidders"`` immediate settlement).
-``no-overlapping-bookings``
-    An agent's open reservation windows never overlap in time and a
-    request id is never double-booked: each ``resv.book`` must be
-    disjoint from every window the agent has booked and not yet
-    released.
-``reservation-released-on-death``
-    When membership confirms a peer dead (``member.dead``), every
-    window the survivor holds for that booker is eventually released —
-    a dead booker's slots must not pin capacity forever.
-``dispatch-after-inputs``
-    A workflow task is never dispatched before all of its parent
-    outputs arrived at its cluster: every dispatched workflow task must
-    have a prior ``dag.ready`` on its resource, its start must not
-    precede the last ``dag.transfer`` arrival for its node, no input
-    may arrive after the task was declared ready, and each workflow
-    task is declared ready exactly once.
+:data:`RULES` names every rule with a one-paragraph summary;
+:func:`rule_table` renders them for docs/observability.md, and a test
+keeps the two in step.
 
 Violations are returned, not raised, so tests can assert emptiness and
 the CLI can render every problem at once.
@@ -85,10 +42,74 @@ from repro.obs.records import (
     TraceRecord,
 )
 
-__all__ = ["Violation", "check_trace"]
+__all__ = ["RULES", "Violation", "check_trace", "rule_table"]
 
 #: Slack for float comparisons between schedule times and event times.
 _EPS = 1e-9
+
+
+#: Every rule :func:`check_trace` enforces, name → what it proves.
+RULES: Dict[str, str] = {
+    "clock-monotone": "Virtual time never goes backwards across the record stream.",
+    "dispatch-after-queue": (
+        "A task is never dispatched before it entered its scheduler's queue, "
+        "and never started before the dispatch decision's own time (no "
+        "scheduling into the past)."
+    ),
+    "send-after-down": (
+        "No message is sent from an endpoint between its `agent.down` and the "
+        "matching `agent.up` — a crashed agent has no process to send from."
+    ),
+    "ack-resolution": (
+        "Every request that was ACKed by the resilience layer eventually "
+        "completes on some resource or gets a portal-recorded result "
+        "(including a synthesized failure).  The one legitimate escape is the "
+        "ACKing agent crashing *after* the ACK while still holding the "
+        "forward — those requests are excused, not flagged."
+    ),
+    "evolve-monotone": (
+        "Within one `GAScheduler.evolve` call the per-generation best cost "
+        "never increases: elitism always carries the incumbent forward."
+    ),
+    "no-suspected-dispatch": (
+        "An agent never forwards a request to a peer it currently holds under "
+        "suspicion (`member.suspect` without a later `member.alive` / "
+        "`member.dead`) — the membership layer's performance-info quarantine "
+        "must keep eq.-(10) matchmaking away from possibly-dead neighbours."
+    ),
+    "bid-settles-or-times-out": (
+        "Every `auction.open` is eventually answered by exactly one "
+        "`auction.settle` (all bids in, timeout, or the auctioneer's own "
+        "crash) — an auction is never silently abandoned, reopened while "
+        "unsettled, or settled without having opened (the one exception being "
+        "the recordable `\"no-bidders\"` immediate settlement)."
+    ),
+    "no-overlapping-bookings": (
+        "An agent's open reservation windows never overlap in time and a "
+        "request id is never double-booked: each `resv.book` must be disjoint "
+        "from every window the agent has booked and not yet released."
+    ),
+    "reservation-released-on-death": (
+        "When membership confirms a peer dead (`member.dead`), every window "
+        "the survivor holds for that booker is eventually released — a dead "
+        "booker's slots must not pin capacity forever."
+    ),
+    "dispatch-after-inputs": (
+        "A workflow task is never dispatched before all of its parent outputs "
+        "arrived at its cluster: every dispatched workflow task must have a "
+        "prior `dag.ready` on its resource, its start must not precede the "
+        "last `dag.transfer` arrival for its node, no input may arrive after "
+        "the task was declared ready, and each workflow task is declared "
+        "ready exactly once."
+    ),
+}
+
+
+def rule_table() -> str:
+    """The checker-rule table of docs/observability.md, as markdown."""
+    lines = ["| rule | invariant |", "|---|---|"]
+    lines += [f"| `{rule}` | {summary} |" for rule, summary in RULES.items()]
+    return "\n".join(lines)
 
 
 @dataclass(frozen=True)
@@ -99,6 +120,10 @@ class Violation:
     t: float
     index: int
     message: str
+
+    def __post_init__(self) -> None:
+        if self.rule not in RULES:
+            raise ValueError(f"unregistered checker rule {self.rule!r}")
 
     def __str__(self) -> str:
         return f"[{self.rule}] t={self.t:.3f} #{self.index}: {self.message}"

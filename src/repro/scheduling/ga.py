@@ -34,7 +34,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.errors import CheckpointError, ScheduleError, ValidationError
+from repro.errors import ScheduleError, ValidationError
 from repro.obs.records import EvolveStep
 from repro.obs.trace import Tracer
 from repro.scheduling.coding import SolutionString
@@ -1073,21 +1073,9 @@ class GAScheduler:
         return state
 
     def restore_state(self, state: dict) -> None:
-        """Rebuild the population exactly as snapshot (RNG restored elsewhere).
-
-        Snapshots written while the kernel was selectable carry a
-        ``kernel`` tag.  Each of those kernels consumed the RNG stream
-        differently from this one, so a resumed run would silently diverge
-        from its uninterrupted twin: such a snapshot is refused with a
-        :class:`~repro.errors.CheckpointError` naming its kernel.
-        """
+        """Rebuild the population exactly as snapshot (RNG restored elsewhere)."""
         from repro.checkpoint.codec import decode_ndarray
 
-        if "kernel" in state:
-            raise CheckpointError(
-                f"GA snapshot was taken under the retired {state['kernel']!r} "
-                "kernel; this build has a single GA kernel and cannot resume it"
-            )
         self._id_order = [int(t) for t in state["id_order"]]
         self._row_of = {tid: row for row, tid in enumerate(self._id_order)}
         self._dtable = decode_ndarray(state["dtable"])

@@ -80,6 +80,18 @@ class TestRejection:
         with pytest.raises(CheckpointError, match="not a"):
             read_snapshot(path)
 
+    def test_version_one_snapshots_refused(self, path):
+        # The per-driver experiment/degraded/soak kinds were version 1.
+        write_snapshot(path, {"kind": "degraded"})
+        with open(path, encoding="utf-8") as fh:
+            header, body = fh.read().splitlines()
+        header = json.loads(header)
+        header["version"] = 1
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(json.dumps(header) + "\n" + body + "\n")
+        with pytest.raises(CheckpointError, match="version 1"):
+            read_snapshot(path)
+
     def test_wrong_version(self, path):
         write_snapshot(path, {"x": 1})
         lines = open(path, encoding="utf-8").read().splitlines()
@@ -118,35 +130,16 @@ class TestRejection:
 
 
 class TestRetiredGAKernel:
-    """Snapshots from builds with a selectable GA kernel are refused."""
+    """Configs of this build (one GA kernel) round-trip the snapshot codec.
 
-    @staticmethod
-    def pre_single_kernel_config(**ga_switches):
-        from repro.checkpoint.snapshot import encode_config
-        from repro.experiments.config import table2_experiments
-
-        data = encode_config(table2_experiments(request_count=10)[2])
-        data["ga_config"] = dict(data["ga_config"], **ga_switches)
-        return data
-
-    @pytest.mark.parametrize(
-        "switches, kernel",
-        [
-            ({"batched": True, "kernel": None, "eval_reuse": True}, "batched"),
-            ({"batched": False, "kernel": None, "eval_reuse": False}, "reference"),
-            ({"batched": True, "kernel": "vectorized", "eval_reuse": True},
-             "vectorized"),
-        ],
-    )
-    def test_config_refused_naming_the_kernel(self, switches, kernel):
-        from repro.checkpoint.snapshot import decode_config
-
-        data = self.pre_single_kernel_config(**switches)
-        with pytest.raises(CheckpointError, match=f"retired '{kernel}' GA kernel"):
-            decode_config(data)
+    Snapshots written while the kernel was selectable are all format
+    version 1, which the version check refuses (see ``test_wrong_version``
+    and ``test_version_one_snapshots_refused``).
+    """
 
     def test_current_config_still_decodes(self):
         from repro.checkpoint.snapshot import decode_config, encode_config
+        from repro.experiments.config import table2_experiments
 
-        data = self.pre_single_kernel_config()
+        data = encode_config(table2_experiments(request_count=10)[2])
         assert encode_config(decode_config(data)) == data

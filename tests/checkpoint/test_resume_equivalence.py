@@ -22,12 +22,9 @@ from repro.experiments.experiment4 import (
     degradation_config,
     experiment4_base_config,
     resume_degraded,
+    run_degraded,
 )
-from repro.experiments.runner import (
-    checkpoint_experiment,
-    resume_experiment,
-    run_experiment,
-)
+from repro.experiments.runner import Run, resume, run_experiment
 from repro.obs.records import canonical_lines
 from repro.obs.trace import Tracer
 from repro.scheduling.scheduler import SchedulingPolicy
@@ -70,11 +67,9 @@ class TestStrictResume:
 
         message_module.set_message_counter(0)
         tracer_pre = Tracer()
-        checkpoint_experiment(
-            strict_config(seed), tracer=tracer_pre, at_step=AT_STEP, path=path
-        )
+        Run(strict_config(seed), tracer=tracer_pre).snapshot_at(AT_STEP, path)
         tracer_post = Tracer()
-        resumed = resume_experiment(path, tracer=tracer_post)
+        resumed = resume(path, mode="strict", tracer=tracer_post)
 
         assert_equivalent(
             full,
@@ -96,21 +91,19 @@ class TestStrictResume:
         assert metrics_json(plain.metrics) == metrics_json(rolling.metrics)
         # The rolling snapshot itself must be resumable.
         message_module.set_message_counter(0)
-        checkpoint_experiment(strict_config(2003), at_step=300, path=path)
-        resumed = resume_experiment(path)
+        Run(strict_config(2003)).snapshot_at(300, path)
+        resumed = resume(path, mode="strict")
         assert resumed.rng_digest == plain.rng_digest
 
     def test_at_step_must_be_positive(self, tmp_path):
         with pytest.raises(ExperimentError, match="at_step"):
-            checkpoint_experiment(
-                strict_config(2003), at_step=0, path=str(tmp_path / "never.json")
-            )
+            Run(strict_config(2003)).snapshot_at(0, str(tmp_path / "never.json"))
 
     def test_resume_rejects_wrong_kind(self, tmp_path):
         path = str(tmp_path / "deg.json")
         checkpoint_degraded(degraded_config(), at_step=AT_STEP, path=path)
         with pytest.raises(CheckpointError, match="kind|checkpoint"):
-            resume_experiment(path)
+            resume(path, mode="strict")
 
 
 def degraded_config() -> ExperimentConfig:
@@ -176,9 +169,8 @@ class TestMidHealResume:
 
     # 380 and 490 land inside the two repair windows (t=18 and t=22, an
     # in-flight ADOPT each); the later points cover steady post-repair
-    # state.  All must stay inside the run's phase-1 step count —
-    # checkpoint_degraded steps blindly, so a step past the horizon break
-    # would snapshot a world the uninterrupted run never entered.
+    # state.  All must stay inside the run's phase 1: checkpoint_degraded
+    # drives the run's own loop and refuses a step past the phase-1 end.
     STEPS = (380, 490, 1500, 3000)
 
     @staticmethod
@@ -223,3 +215,96 @@ class TestMidHealResume:
         assert mid_heal_hits > 0, (
             "no snapshot landed mid-heal; re-tune STEPS to cover a repair"
         )
+
+
+class TestAtStepFollowsTheRun:
+    """An at-step checkpoint drives the run's own loop, phases included."""
+
+    def test_step_past_phase_one_is_refused(self, tmp_path):
+        # The uninterrupted run fires `events` events in all, so step
+        # events + 1 lies past the end of phase 1.  Stepping blindly to it
+        # would snapshot a world (periodics and churn still live past the
+        # horizon) the uninterrupted run never enters.
+        message_module.set_message_counter(0)
+        tracer = Tracer()
+        run_degraded(degraded_config(), tracer=tracer)
+        events = sum(1 for r in tracer.records if r.kind == "sim.event")
+        with pytest.raises(ExperimentError, match="phase 1"):
+            checkpoint_degraded(
+                degraded_config(), at_step=events + 1, path=str(tmp_path / "late.json")
+            )
+
+    def test_soak_step_past_the_end_is_refused(self, tmp_path):
+        # Past the last resolution a soak would keep closing (empty)
+        # windows the uninterrupted run never closes.
+        message_module.set_message_counter(0)
+        full = Run(soak_config(), mode="soak", window_seconds=WINDOW).execute()
+        late = Run(soak_config(), mode="soak", window_seconds=WINDOW)
+        with pytest.raises(ExperimentError, match="before at_step"):
+            late.snapshot_at(full.steps + 1, str(tmp_path / "late.json"))
+
+
+def soak_config() -> ExperimentConfig:
+    return ExperimentConfig(
+        name="ckpt-soak",
+        policy=SchedulingPolicy.GA,
+        agents_enabled=True,
+        request_count=12,
+        master_seed=2003,
+    )
+
+
+#: One configuration per run mode, all small enough for tier-1.
+MODE_CONFIGS = {
+    "strict": lambda: strict_config(2003),
+    "horizon": degraded_config,
+    "soak": soak_config,
+}
+WINDOW = 30.0
+
+
+def explicit_workload():
+    """A request stream that is *not* the config's seeded default."""
+    from repro.experiments.casestudy import case_study_topology
+    from repro.experiments.workload import generate_workload
+    from repro.pace.workloads import paper_application_specs
+
+    return generate_workload(
+        case_study_topology().agent_names,
+        paper_application_specs(),
+        count=12,
+        master_seed=99,
+    )
+
+
+@pytest.mark.parametrize("mode", sorted(MODE_CONFIGS))
+class TestOneRunKind:
+    """Every mode validates its hooks once and resumes with them armed."""
+
+    def test_hooks_validated_and_kept_across_resume(self, mode, tmp_path):
+        config, items = MODE_CONFIGS[mode](), explicit_workload()
+        first = str(tmp_path / "first.json")
+        second = str(tmp_path / "second.json")
+        # Validated up front, before anything runs: no modulo-by-zero, and
+        # a negative period is not silently taken as its absolute value.
+        for every in (0, -3):
+            with pytest.raises(ExperimentError, match="checkpoint_every"):
+                Run(config, mode=mode, checkpoint_every=every, checkpoint_path=first)
+        with pytest.raises(ExperimentError, match="checkpoint_path"):
+            Run(config, mode=mode, checkpoint_every=10)
+
+        message_module.set_message_counter(0)
+        full = Run(config, mode=mode, workload=items, window_seconds=WINDOW).execute()
+        # Any mode snapshots with an explicit workload ...
+        message_module.set_message_counter(0)
+        Run(config, mode=mode, workload=items, window_seconds=WINDOW).snapshot_at(
+            full.steps // 3, first
+        )
+        # ... and a resumed run keeps rewriting its snapshot, which itself
+        # resumes to the same end.
+        resumed = resume(first, checkpoint_every=100, checkpoint_path=second)
+        again = resume(second)
+        for other in (resumed, again):
+            assert_equivalent(full, other, [], [])
+            assert other.windows == full.windows
+            assert other.workload == items

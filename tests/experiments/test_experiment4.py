@@ -6,27 +6,32 @@ import pytest
 
 from repro.errors import ExperimentError, ValidationError
 from repro.experiments.experiment4 import (
-    Experiment4Result,
+    EXPERIMENT4,
     degradation_config,
     experiment4_base_config,
     run_degraded,
-    run_experiment4,
 )
-from repro.metrics.reporting import render_experiment4
+from repro.experiments.tournament import TournamentResult
 from repro.net.faults import ChurnSpec, FaultPlanSpec, LinkFault
 
 REQUESTS = 30
 
 
 @pytest.fixture(scope="module")
-def grids():
+def grid():
     """One small degradation grid, resilient and ablation, shared by tests."""
-    common = dict(
-        request_count=REQUESTS, loss_rates=(0.0, 0.2), churn_rates=(0.0,)
-    )
-    resilient = run_experiment4(resilient=True, **common)
-    ablation = run_experiment4(resilient=False, **common)
-    return resilient, ablation
+    return EXPERIMENT4.play(requests=REQUESTS, loss=(0.0, 0.2), churn=(0.0,))
+
+
+@pytest.fixture(scope="module")
+def grids(grid):
+    """The grid's resilient and ablation points, cell by cell."""
+    return grid.select(contender="resilient"), grid.select(contender="no-retry")
+
+
+def worst(points):
+    """The highest-stress point (max loss, then max churn)."""
+    return max(points, key=lambda p: (p["loss_rate"], p["churn_rate"]))
 
 
 class TestDegradationConfig:
@@ -90,67 +95,61 @@ class TestRunDegraded:
 
 
 class TestExperiment4Grid:
-    def test_grid_shape_and_lookup(self, grids):
+    def test_grid_shape_and_lookup(self, grid, grids):
         resilient, ablation = grids
-        for result in grids:
-            assert isinstance(result, Experiment4Result)
-            assert len(result.points) == 2
-            assert result.request_count == REQUESTS
-        assert resilient.resilient and not ablation.resilient
-        point = resilient.point(0.2, 0.0)
-        assert point.loss_rate == 0.2
-        assert resilient.worst_point is point
+        for points in grids:
+            assert len(points) == 2
+            assert all(p.result.submitted == REQUESTS for p in points)
+        assert all(p.baseline in ablation for p in resilient)
+        point = grid.point(contender="resilient", loss_rate=0.2, churn_rate=0.0)
+        assert point["loss_rate"] == 0.2
+        assert worst(resilient) is point
         with pytest.raises(ExperimentError):
-            resilient.point(0.99, 0.0)
+            grid.point(contender="resilient", loss_rate=0.99, churn_rate=0.0)
 
-    def test_zero_fault_point_completes_fully(self, grids):
-        for result in grids:
-            clean = result.point(0.0, 0.0)
-            assert clean.completion_rate == 1.0
-            assert clean.unresolved == 0
-            assert clean.fault_dropped == 0
+    def test_zero_fault_point_completes_fully(self, grid):
+        for clean in grid.select(loss_rate=0.0, churn_rate=0.0):
+            assert clean.result.completion_rate == 1.0
+            assert clean.result.unresolved == 0
+            assert clean.result.fault_dropped == 0
 
-    def test_loss_point_exercises_the_resilience_layer(self, grids):
-        resilient, _ = grids
-        lossy = resilient.point(0.2, 0.0)
+    def test_loss_point_exercises_the_resilience_layer(self, grid):
+        lossy = grid.point(contender="resilient", loss_rate=0.2, churn_rate=0.0).result
         assert lossy.fault_dropped > 0
         assert lossy.counters.retries > 0
         assert lossy.counters.acks_received > 0
 
     def test_resilient_never_below_ablation(self, grids):
-        resilient, ablation = grids
-        for point in resilient.points:
-            twin = ablation.point(point.loss_rate, point.churn_rate)
-            assert point.submitted == twin.submitted
-            assert point.succeeded >= twin.succeeded
+        resilient, _ = grids
+        for point in resilient:
+            twin = point.baseline.result
+            assert point.result.submitted == twin.submitted
+            assert point.result.succeeded >= twin.succeeded
 
     def test_resilient_strictly_better_under_stress(self, grids):
-        # The PR's acceptance criterion: with real message loss, retrying
+        # The acceptance criterion: with real message loss, retrying
         # recovers strictly more requests than fire-and-forget.
         resilient, ablation = grids
-        worst, twin = resilient.worst_point, ablation.worst_point
-        assert worst.fault_dropped > 0
-        assert worst.succeeded > twin.succeeded
+        ours, twin = worst(resilient).result, worst(ablation).result
+        assert ours.fault_dropped > 0
+        assert ours.succeeded > twin.succeeded
 
 
 class TestRenderExperiment4:
-    def test_render_with_ablation_column(self, grids):
-        resilient, ablation = grids
-        text = render_experiment4(resilient, ablation)
+    def test_render_with_ablation_column(self, grid):
+        text = grid.render()
         assert "resilient protocol" in text
         assert "no-retry completed" in text
         assert "20%" in text
         assert f"/{REQUESTS}" in text
 
-    def test_render_ablation_alone(self, grids):
+    def test_render_ablation_alone(self, grid, grids):
         _, ablation = grids
-        text = render_experiment4(ablation)
+        text = TournamentResult(EXPERIMENT4, grid.options, ablation).render()
         assert "no-retry baseline" in text
         assert "no-retry completed" not in text
 
     def test_empty_result_rejected(self):
-        empty = Experiment4Result(
-            resilient=True, request_count=0, master_seed=0, points=[]
-        )
+        empty = TournamentResult(EXPERIMENT4, EXPERIMENT4.options(), [])
         with pytest.raises(ValidationError):
-            render_experiment4(empty)
+            empty.render()

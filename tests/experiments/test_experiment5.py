@@ -20,11 +20,11 @@ from repro.errors import ExperimentError
 from repro.experiments.casestudy import case_study_topology
 from repro.experiments.experiment4 import experiment4_base_config
 from repro.experiments.experiment5 import (
+    EXPERIMENT5,
     experiment5_config,
+    healing_advantage,
     leaf_names,
-    run_experiment5,
 )
-from repro.metrics.reporting import render_experiment5
 
 CHURN_RATES = (0.0, 0.5)
 STRAGGLER_COUNTS = (0, 2)
@@ -32,36 +32,41 @@ STRAGGLER_COUNTS = (0, 2)
 
 @pytest.fixture(scope="module")
 def result():
-    return run_experiment5(
-        request_count=120,
-        master_seed=2003,
-        churn_rates=CHURN_RATES,
-        straggler_counts=STRAGGLER_COUNTS,
+    return EXPERIMENT5.play(
+        requests=120, seed=2003, churn=CHURN_RATES, stragglers=STRAGGLER_COUNTS
     )
+
+
+def run_at(result, churn_rate, straggler_count, *, healing):
+    return result.point(
+        churn_rate=churn_rate,
+        straggler_count=straggler_count,
+        contender="healing" if healing else "static",
+    ).result
 
 
 class TestHealingAdvantage:
     def test_healing_beats_static_in_every_churn_cell(self, result):
         for stragglers in STRAGGLER_COUNTS:
-            assert result.healing_advantage(0.5, stragglers) > 0, (
+            assert healing_advantage(result, 0.5, stragglers) > 0, (
                 f"healing must strictly beat static at churn=0.5, "
                 f"grey={stragglers}"
             )
 
     def test_churn_actually_crashed_coordinators(self, result):
         for healing in (True, False):
-            point = result.point(0.5, 0, healing=healing)
+            point = run_at(result, 0.5, 0, healing=healing)
             assert point.crashes > 0
             assert point.membership.confirms > 0
 
     def test_repairs_terminate_and_balance(self, result):
         for churn in CHURN_RATES:
             for stragglers in STRAGGLER_COUNTS:
-                m = result.point(churn, stragglers, healing=True).membership
+                m = run_at(result, churn, stragglers, healing=True).membership
                 assert m.orphaned <= m.adoptions_completed + m.promotions
         # The ablation never repairs anything.
         for churn in CHURN_RATES:
-            m = result.point(churn, 0, healing=False).membership
+            m = run_at(result, churn, 0, healing=False).membership
             assert m.adoptions_completed == 0 and m.promotions == 0
 
 
@@ -69,12 +74,12 @@ class TestNoFalsePositives:
     def test_straggler_only_cell_confirms_nobody_dead(self, result):
         """Grey failures are slow, not dead: zero confirms, zero crashes."""
         for healing in (True, False):
-            point = result.point(0.0, 2, healing=healing)
+            point = run_at(result, 0.0, 2, healing=healing)
             assert point.crashes == 0
             assert point.membership.confirms == 0
 
     def test_clean_cell_is_quiet(self, result):
-        point = result.point(0.0, 0, healing=True)
+        point = run_at(result, 0.0, 0, healing=True)
         assert point.crashes == 0
         assert point.membership.confirms == 0
         assert point.membership.orphaned == 0
@@ -84,10 +89,10 @@ class TestNoFalsePositives:
 class TestPlumbing:
     def test_point_lookup_raises_on_unknown_cell(self, result):
         with pytest.raises(ExperimentError, match="no point"):
-            result.point(0.9, 7, healing=True)
+            run_at(result, 0.9, 7, healing=True)
 
     def test_render_includes_every_cell(self, result):
-        table = render_experiment5(result)
+        table = result.render()
         assert "healing" in table and "met deadline" in table
         assert table.count("\n") >= len(result.points)
 

@@ -21,12 +21,11 @@ from repro.agents.policy import POLICY_KINDS
 from repro.errors import ExperimentError
 from repro.experiments.experiment6 import (
     CELLS,
+    EXPERIMENT6,
+    PROBES,
     experiment6_cells,
-    run_experiment6,
-    run_policy_invariants,
     verify_clean_parity,
 )
-from repro.metrics.reporting import render_experiment6
 
 REQUESTS = 24
 BURSTY_AGENTS = 24
@@ -34,17 +33,15 @@ BURSTY_AGENTS = 24
 
 @pytest.fixture(scope="module")
 def result():
-    return run_experiment6(
-        request_count=REQUESTS,
-        master_seed=2003,
-        bursty_agents=BURSTY_AGENTS,
-        verify_parity=True,
+    return EXPERIMENT6.play(
+        requests=REQUESTS, seed=2003, bursty_agents=BURSTY_AGENTS, check=True
     )
 
 
 class TestParityAnchor:
     def test_tournament_parity_is_clean(self, result):
-        assert result.parity == []
+        # The --check verdict: clean-cell parity, completion, and probes.
+        assert result.failures() == []
 
     def test_standalone_parity_is_clean(self):
         assert verify_clean_parity(request_count=12, master_seed=7) == []
@@ -53,25 +50,25 @@ class TestParityAnchor:
 class TestTournamentShape:
     def test_one_point_per_policy_and_cell(self, result):
         assert len(result.points) == len(POLICY_KINDS) * len(CELLS)
-        seen = {(p.policy, p.cell) for p in result.points}
+        seen = {(p.contender, p.cell.name) for p in result.points}
         assert seen == {(p, c) for p in POLICY_KINDS for c in CELLS}
 
     def test_cell_points_ordered_by_policy(self, result):
         for cell in CELLS:
-            points = result.cell_points(cell)
-            assert [p.policy for p in points] == list(POLICY_KINDS)
+            points = result.select(cell=cell)
+            assert [p.contender for p in points] == list(POLICY_KINDS)
 
     def test_point_lookup_raises_on_unknown(self, result):
         with pytest.raises(ExperimentError, match="no point"):
-            result.point("eq10", "quiet")
+            result.point(contender="eq10", cell="quiet")
 
     def test_every_policy_completes_the_clean_cell(self, result):
-        for point in result.cell_points("clean"):
-            assert point.completion_rate == 1.0
-            assert point.unresolved == 0
+        for point in result.select(cell="clean"):
+            assert point.result.completion_rate == 1.0
+            assert point.result.unresolved == 0
 
     def test_points_account_for_every_request(self, result):
-        for point in result.points:
+        for point in (p.result for p in result.points):
             assert point.submitted > 0
             assert (
                 point.succeeded + point.failed + point.unresolved
@@ -80,7 +77,7 @@ class TestTournamentShape:
             assert point.deadline_met <= point.succeeded
 
     def test_render_includes_every_cell(self, result):
-        table = render_experiment6(result)
+        table = result.render()
         for cell in CELLS:
             assert cell in table
         assert "met deadline" in table
@@ -95,8 +92,9 @@ class TestCellBuilder:
                 request_count=REQUESTS, cells=("clean", "loss", "churn")
             )
         }
-        assert cells["clean"].workload == cells["loss"].workload
-        assert cells["clean"].workload == cells["churn"].workload
+        workload = cells["clean"].run_options["workload"]
+        assert workload == cells["loss"].run_options["workload"]
+        assert workload == cells["churn"].run_options["workload"]
         assert cells["clean"].topology is cells["loss"].topology
 
     def test_bursty_cell_has_its_own_grid(self):
@@ -108,7 +106,7 @@ class TestCellBuilder:
         assert len(bursty.topology.agent_names) > len(
             clean.topology.agent_names
         )
-        assert bursty.workload != clean.workload
+        assert bursty.run_options["workload"] != clean.run_options["workload"]
 
     def test_unknown_cell_rejected(self):
         with pytest.raises(ExperimentError, match="unknown experiment-6"):
@@ -116,25 +114,32 @@ class TestCellBuilder:
 
     def test_unknown_policy_rejected(self):
         with pytest.raises(ExperimentError, match="unknown global policies"):
-            run_experiment6(request_count=4, policies=("dictator",))
+            EXPERIMENT6.play(requests=4, policies=("dictator",))
 
 
 class TestStructuralInvariants:
     @pytest.fixture(scope="class")
     def probes(self):
-        return run_policy_invariants(request_count=40, master_seed=2003)
+        result = EXPERIMENT6.play(
+            requests=40,
+            seed=2003,
+            cells=("clean", "churn"),
+            policies=("auction", "reservation"),
+            check=True,
+        )
+        return [result.point(contender=p, cell=c) for p, c in PROBES]
 
     def test_probe_traces_are_violation_free(self, probes):
         for probe in probes:
-            assert probe.violations == ()
+            assert probe["violations"] == []
 
     def test_protocols_actually_fired(self, probes):
-        by_policy = {p.policy: p for p in probes}
-        assert by_policy["auction"].record_counts.get("auction.settle", 0) > 0
-        assert by_policy["reservation"].record_counts.get("resv.book", 0) > 0
+        by_policy = {p.contender: p["protocol_records"] for p in probes}
+        assert by_policy["auction"].get("auction.settle", 0) > 0
+        assert by_policy["reservation"].get("resv.book", 0) > 0
 
     def test_probes_cover_clean_and_churn(self, probes):
-        assert [(p.policy, p.cell) for p in probes] == [
+        assert [(p.contender, p.cell.name) for p in probes] == [
             ("auction", "clean"),
             ("reservation", "churn"),
         ]

@@ -16,11 +16,11 @@ import pytest
 from repro.errors import ExperimentError
 from repro.experiments.experiment7 import (
     CELLS,
+    EXPERIMENT7,
     MODES,
     experiment7_cells,
-    run_experiment7,
+    slo_regressions,
 )
-from repro.metrics.reporting import render_experiment7
 
 RUN_CELLS = ("fork-join-uniform", "pipeline")
 WORKFLOWS = 3
@@ -28,8 +28,8 @@ WORKFLOWS = 3
 
 @pytest.fixture(scope="module")
 def result():
-    return run_experiment7(
-        workflow_count=WORKFLOWS, master_seed=2003, cells=RUN_CELLS, check=True
+    return EXPERIMENT7.play(
+        workflows=WORKFLOWS, seed=2003, cells=RUN_CELLS, check=True
     )
 
 
@@ -43,17 +43,16 @@ class TestCellBuilder:
         second = experiment7_cells(workflow_count=2, cells=RUN_CELLS)
         assert [c.name for c in first] == list(RUN_CELLS)
         for a, b in zip(first, second):
-            assert a.release_mode == b.release_mode
-            assert [w.submit_time for w in a.workflows] == [
-                w.submit_time for w in b.workflows
-            ]
-            assert [w.graph().to_dict() for w in a.workflows] == [
-                w.graph().to_dict() for w in b.workflows
+            assert a.params["release_mode"] == b.params["release_mode"]
+            a_flows, b_flows = a.run_options["workflows"], b.run_options["workflows"]
+            assert [w.submit_time for w in a_flows] == [w.submit_time for w in b_flows]
+            assert [w.graph().to_dict() for w in a_flows] == [
+                w.graph().to_dict() for w in b_flows
             ]
 
     def test_pipeline_cell_is_eager_and_local(self):
         (cell,) = experiment7_cells(workflow_count=2, cells=("pipeline",))
-        assert cell.release_mode == "eager"
+        assert cell.params["release_mode"] == "eager"
         assert cell.config.agents_enabled is False
 
     def test_full_matrix_names(self):
@@ -63,40 +62,40 @@ class TestCellBuilder:
 
 class TestTournamentRun:
     def test_one_point_per_cell_and_mode(self, result):
-        seen = {(p.cell, p.mode) for p in result.points}
+        seen = {(p.cell.name, p.contender) for p in result.points}
         assert seen == {(c, m) for c in RUN_CELLS for m in MODES}
 
     def test_checked_run_has_no_violations(self, result):
-        assert result.violations() == []
+        assert [v for p in result.points for v in p["violations"]] == []
 
     def test_clean_cells_resolve_every_workflow(self, result):
         for point in result.points:
-            assert point.workflows == WORKFLOWS
-            assert point.workflows_succeeded == WORKFLOWS
-            assert point.tasks_succeeded == point.tasks_submitted
+            assert point["workflows"] == WORKFLOWS
+            assert point["workflows_succeeded"] == WORKFLOWS
+            assert point["tasks_succeeded"] == point["tasks_submitted"]
 
     def test_dag_records_flow_only_in_staged_cells(self, result):
-        staged = result.point("fork-join-uniform", "aware")
-        assert staged.dag_records.get("dag.ready", 0) > 0
-        assert staged.dag_records.get("dag.transfer", 0) > 0
-        assert staged.bytes_moved > 0
-        eager = result.point("pipeline", "aware")
-        assert eager.bytes_moved == 0.0  # eager graphs never leave the cluster
+        staged = result.point(cell="fork-join-uniform", contender="aware")
+        assert staged["dag_records"].get("dag.ready", 0) > 0
+        assert staged["dag_records"].get("dag.transfer", 0) > 0
+        assert staged["bytes_moved"] > 0
+        eager = result.point(cell="pipeline", contender="aware")
+        assert eager["bytes_moved"] == 0.0  # eager graphs never leave the cluster
 
     def test_point_accessor_rejects_unknown(self, result):
         with pytest.raises(ExperimentError, match="no point"):
-            result.point("fork-join-uniform", "psychic")
+            result.point(cell="fork-join-uniform", contender="psychic")
 
     def test_slo_regressions_structure(self, result):
-        for cell, aware, naive in result.slo_regressions():
+        for regression in slo_regressions(result):
+            cell, _ = regression.split(":", 1)
             assert cell in RUN_CELLS
-            assert aware < naive
 
 
 class TestReporting:
     def test_render_has_one_row_per_point(self, result):
-        text = render_experiment7(result)
+        text = result.render()
         for point in result.points:
-            assert point.cell in text
+            assert point.cell.name in text
         assert text.count("aware") >= len(RUN_CELLS)
         assert "bytes" in text or "moved" in text

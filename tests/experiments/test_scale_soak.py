@@ -21,7 +21,7 @@ import pytest
 
 import repro.net.message as message_module
 from repro.experiments.scenarios import ScenarioSpec, generate_scenario
-from repro.experiments.soak import run_soak
+from repro.experiments.runner import Run
 from repro.obs import Tracer, check_trace
 from repro.obs.records import (
     AckSent,
@@ -86,16 +86,17 @@ def _run_checked_soak(agents: int, requests: int, seed: int = 2003):
     scenario, config = _soak_scenario(agents, requests, seed)
     sink = _CheckingSink()
     message_module.set_message_counter(0)
-    result = run_soak(
+    result = Run(
         config,
         scenario.topology,
+        mode="soak",
         workload=list(scenario.workload),
         window_seconds=scenario.horizon / 8,
         tracer=Tracer(sink),
-    )
+    ).execute()
     violations = check_trace(sink.records)
     assert violations == [], violations[:5]
-    assert result.total_completed + result.total_failed == requests
+    assert len(result.records) + result.failed == requests
     assert sink.emitted > len(sink.records)  # the filter actually filters
     return result
 
@@ -104,7 +105,7 @@ class TestScaleSoak:
     def test_300_agent_soak_checker_clean(self):
         result = _run_checked_soak(agents=300, requests=400)
         assert len(result.windows) >= 8
-        assert result.total_completed > 0
+        assert result.records
 
     @pytest.mark.skipif(
         os.environ.get("REPRO_SCALE_SOAK") != "1",
@@ -112,4 +113,4 @@ class TestScaleSoak:
     )
     def test_1000_agent_100k_soak_checker_clean(self):
         result = _run_checked_soak(agents=1000, requests=100_000)
-        assert result.total_completed + result.total_failed == 100_000
+        assert len(result.records) + result.failed == 100_000

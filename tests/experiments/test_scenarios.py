@@ -19,8 +19,8 @@ import pytest
 import repro.net.message as message_module
 from repro.errors import ExperimentError
 from repro.experiments.runner import (
-    checkpoint_experiment,
-    resume_experiment,
+    Run,
+    resume,
     run_experiment,
 )
 from repro.experiments.scenarios import (
@@ -161,14 +161,10 @@ class TestGeneratedScenarioCheckpointing:
             config, scenario.topology, workload=list(scenario.workload)
         )
         message_module.set_message_counter(0)
-        checkpoint_experiment(
-            config,
-            scenario.topology,
-            workload=list(scenario.workload),
-            at_step=250,
-            path=path,
+        Run(config, scenario.topology, workload=list(scenario.workload)).snapshot_at(
+            250, path
         )
-        resumed = resume_experiment(path)
+        resumed = resume(path)
 
         assert [asdict(r) for r in full.records] == [
             asdict(r) for r in resumed.records

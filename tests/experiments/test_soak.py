@@ -9,14 +9,12 @@ import pytest
 import repro.net.message as message_module
 from repro.errors import CheckpointError, ExperimentError
 from repro.experiments.config import ExperimentConfig
-from repro.experiments.runner import MAX_EVENTS
-from repro.experiments.soak import (
-    SoakWindow,
-    checkpoint_soak,
-    resume_soak,
-    run_soak,
-)
+from repro.experiments.runner import MAX_EVENTS, Run, SoakWindow, resume
 from repro.scheduling.scheduler import SchedulingPolicy
+
+
+def run_soak(config, **options):
+    return Run(config, mode="soak", **options).execute()
 
 
 def soak_config(requests: int = 60, seed: int = 2003) -> ExperimentConfig:
@@ -33,9 +31,9 @@ class TestRunSoak:
     def test_windows_partition_the_stream(self):
         message_module.set_message_counter(0)
         result = run_soak(soak_config(), window_seconds=30.0)
-        assert result.total_completed + result.total_failed == 60
-        assert sum(w.completed for w in result.windows) == result.total_completed
-        assert sum(w.failed for w in result.windows) == result.total_failed
+        assert len(result.records) + result.failed == 60
+        assert sum(w.completed for w in result.windows) == len(result.records)
+        assert sum(w.failed for w in result.windows) == result.failed
         assert result.steps <= MAX_EVENTS
         # Windows tile simulated time contiguously, oldest first.
         for earlier, later in zip(result.windows, result.windows[1:]):
@@ -80,14 +78,14 @@ class TestResumeSoak:
         full = run_soak(soak_config(), window_seconds=30.0)
 
         message_module.set_message_counter(0)
-        checkpoint_soak(
-            soak_config(), window_seconds=30.0, at_step=full.steps // 2, path=path
+        Run(soak_config(), mode="soak", window_seconds=30.0).snapshot_at(
+            full.steps // 2, path
         )
-        resumed = resume_soak(path)
+        resumed = resume(path, mode="soak")
         assert resumed.windows == full.windows
         assert resumed.rng_digest == full.rng_digest
-        assert resumed.total_completed == full.total_completed
-        assert resumed.total_failed == full.total_failed
+        assert resumed.records == full.records
+        assert resumed.failed == full.failed
         assert resumed.steps == full.steps
 
     def test_resume_from_boundary_checkpoint(self, tmp_path):
@@ -96,17 +94,15 @@ class TestResumeSoak:
         path = str(tmp_path / "rolling.json")
         message_module.set_message_counter(0)
         full = run_soak(soak_config(), window_seconds=30.0, checkpoint_path=path)
-        resumed = resume_soak(path)
+        resumed = resume(path, mode="soak")
         assert resumed.windows == full.windows
         assert resumed.rng_digest == full.rng_digest
 
     def test_resume_rejects_other_kinds(self, tmp_path):
-        from repro.experiments.runner import checkpoint_experiment
-
         path = str(tmp_path / "exp.json")
-        checkpoint_experiment(soak_config(12), at_step=200, path=path)
+        Run(soak_config(12)).snapshot_at(200, path)
         with pytest.raises(CheckpointError, match="kind|checkpoint"):
-            resume_soak(path)
+            resume(path, mode="soak")
 
 
 @pytest.mark.skipif(
@@ -121,6 +117,6 @@ class TestLongSoak:
             window_seconds=2000.0,
             checkpoint_path=str(tmp_path / "soak.json"),
         )
-        assert result.total_completed + result.total_failed == 6000
+        assert len(result.records) + result.failed == 6000
         assert result.steps <= MAX_EVENTS
         assert len(result.windows) >= 2

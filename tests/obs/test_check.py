@@ -400,3 +400,34 @@ class TestDispatchAfterInputs:
         ])
         assert _rules(violations) == ["dispatch-after-inputs"]
         assert "declared ready twice" in violations[0].message
+
+
+class TestRuleTable:
+    def test_observability_doc_matches_code(self):
+        from pathlib import Path
+
+        from repro.obs.check import rule_table
+
+        doc = (
+            Path(__file__).resolve().parents[2] / "docs" / "observability.md"
+        ).read_text(encoding="utf-8")
+        begin, end = "<!-- checker-rules:begin -->\n", "\n<!-- checker-rules:end -->"
+        embedded = doc[doc.index(begin) + len(begin):doc.index(end)]
+        assert embedded == rule_table(), (
+            "docs/observability.md checker-rule table is stale; regenerate it "
+            "from repro.obs.check.rule_table()"
+        )
+
+    def test_every_rule_is_enforced_and_every_flag_registered(self):
+        import inspect
+        import re
+
+        from repro.obs import check
+
+        source = inspect.getsource(check.check_trace)
+        flagged = set(re.findall(r'"([a-z]+(?:-[a-z]+)+)",\s', source))
+        assert flagged == set(check.RULES)
+
+    def test_unregistered_rule_is_refused(self):
+        with pytest.raises(ValueError, match="unregistered"):
+            Violation("made-up-rule", 0.0, 0, "nothing")

@@ -16,8 +16,7 @@ stream:
   (per-seed outcomes differ by RNG-stream noise, so the gate is the panel
   mean — see docs/performance.md);
 * the warm start is deterministic, including through a checkpoint /
-  restore round-trip, and snapshots from builds with a selectable kernel
-  are refused.
+  restore round-trip.
 """
 
 from __future__ import annotations
@@ -25,7 +24,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.errors import CheckpointError, ScheduleError, ValidationError
+from repro.errors import ScheduleError, ValidationError
 from repro.scheduling.ga import GAConfig, GAScheduler
 from repro.scheduling.vectorized import (
     bernoulli_indices,
@@ -336,13 +335,3 @@ class TestCheckpointRoundTrip:
         assert cost_resumed == cost_direct
         assert np.array_equal(ga1._order, ga2._order)
         assert np.array_equal(ga1._masks, ga2._masks)
-
-    def test_vectorized_boundary_refused_both_ways(self):
-        """GA state tagged by any retired kernel is refused by name."""
-        ga = make_ga(5)
-        ga.evolve(2, [0.0] * N_NODES, 0.0)
-        assert "kernel" not in ga.snapshot_state()
-        for kernel in ("batched", "reference", "vectorized"):
-            snap = dict(ga.snapshot_state(), kernel=kernel)
-            with pytest.raises(CheckpointError, match=repr(kernel)):
-                make_ga(5).restore_state(snap)

@@ -15,7 +15,6 @@ workflows must not shift the independent workload's RNG stream.
 from __future__ import annotations
 
 import json
-import time
 from dataclasses import asdict
 
 import pytest
@@ -23,22 +22,13 @@ import pytest
 import repro.net.message as message_module
 from repro.experiments.config import table2_experiments
 from repro.experiments.experiment4 import (
-    _arm_churn,
-    _drive_degraded,
     degradation_config,
     experiment4_base_config,
     run_degraded,
-    tolerant_submitter,
 )
-from repro.experiments.runner import (
-    _drive_experiment,
-    _submitter,
-    build_grid,
-    generate_workload,
-)
+from repro.experiments.runner import Run
 from repro.experiments.scenarios import ScenarioSpec, generate_scenario
 from repro.obs import MemorySink, Tracer, canonical_lines
-from repro.sim.events import Priority
 from repro.tasks.workflow import WorkflowCoordinator
 
 SEEDS = (2003, 7, 41, 97, 1234)
@@ -66,80 +56,23 @@ def _attach_coordinator(system, tracer):
 
 
 def run_strict(config, *, coordinator: bool):
-    """run_experiment's exact body, with an optional idle coordinator."""
+    """A strict run, with an optional idle coordinator attached."""
     message_module.set_message_counter(0)
     tracer = Tracer(MemorySink())
-    system = build_grid(config, tracer=tracer)
+    run = Run(config, tracer=tracer)
     if coordinator:
-        _attach_coordinator(system, tracer)
-    items = generate_workload(
-        system.topology.agent_names,
-        system.specs,
-        count=config.request_count,
-        interval=config.request_interval,
-        master_seed=config.master_seed,
-    )
-    system.start()
-    arrivals = {
-        index: system.sim.schedule(
-            item.submit_time,
-            _submitter(system, item),
-            priority=Priority.ARRIVAL,
-            label=f"arrival-{item.application}",
-            lane=item.agent_name,
-        )
-        for index, item in enumerate(items)
-    }
-    result = _drive_experiment(
-        system,
-        items,
-        arrivals,
-        steps=0,
-        t_wall=time.perf_counter(),
-        checkpoint_every=None,
-        checkpoint_path=None,
-    )
-    return result, canonical_lines(tracer.records)
+        _attach_coordinator(run.system, tracer)
+    return run.execute(), canonical_lines(tracer.records)
 
 
 def run_faulty(config, *, coordinator: bool):
-    """run_degraded's exact body, with an optional idle coordinator."""
+    """A horizon-mode (degraded) run, with an optional idle coordinator."""
     message_module.set_message_counter(0)
     tracer = Tracer(MemorySink())
-    system = build_grid(config, tracer=tracer)
+    run = Run(config, mode="horizon", tracer=tracer)
     if coordinator:
-        _attach_coordinator(system, tracer)
-    items = generate_workload(
-        system.topology.agent_names,
-        system.specs,
-        count=config.request_count,
-        interval=config.request_interval,
-        master_seed=config.master_seed,
-    )
-    system.start()
-    arrivals = {
-        index: system.sim.schedule(
-            item.submit_time,
-            tolerant_submitter(system, item),
-            priority=Priority.ARRIVAL,
-            label=f"arrival-{item.application}",
-        )
-        for index, item in enumerate(items)
-    }
-    crashes, restarts, churn_events = _arm_churn(system, config)
-    run = _drive_degraded(
-        system,
-        items,
-        arrivals,
-        churn_events,
-        crashes=crashes,
-        restarts=restarts,
-        steps=0,
-        t_wall=time.perf_counter(),
-        checkpoint_every=None,
-        checkpoint_path=None,
-    )
-    return run, canonical_lines(tracer.records)
+        _attach_coordinator(run.system, tracer)
+    return run.execute(), canonical_lines(tracer.records)
 
 
 class TestIdleCoordinatorIsByteIdentical:
@@ -164,7 +97,7 @@ class TestIdleCoordinatorIsByteIdentical:
         assert base_lines == var_lines
 
     def test_matches_public_entry_points(self):
-        """The replicated drive bodies above haven't drifted from the real ones."""
+        """The harness runs above match the public entry points."""
         from repro.experiments.runner import run_experiment
 
         config = table2_experiments(master_seed=2003, request_count=REQUESTS)[2]

@@ -4,7 +4,50 @@ from __future__ import annotations
 
 import pytest
 
+import argparse
+
 from repro.cli import build_parser, main
+
+#: The experiment subcommands' flags and defaults, as the CLI has always
+#: accepted them.  The subcommands are generated from the tournament
+#: declarations; this literal pins their command-line contract.
+TOURNAMENT_FLAGS = {
+    "experiment4": {
+        "--requests": 600,
+        "--seed": 2003,
+        "--loss": [0.0, 0.05, 0.1, 0.2],
+        "--churn": [0.0, 0.25],
+        "--jitter": 0.0,
+        "--no-retry": False,
+        "--fault-plan": None,
+        "--json": None,
+        "--check": False,
+    },
+    "experiment5": {
+        "--requests": 600,
+        "--seed": 2003,
+        "--churn": [0.0, 0.5],
+        "--stragglers": [0, 2],
+        "--json": None,
+        "--check": False,
+    },
+    "experiment6": {
+        "--requests": 120,
+        "--seed": 2003,
+        "--bursty-agents": 60,
+        "--policies": ["eq10", "auction", "reservation"],
+        "--cells": ["clean", "loss", "bursty", "churn"],
+        "--json": None,
+        "--check": False,
+    },
+    "experiment7": {
+        "--workflows": 8,
+        "--seed": 2003,
+        "--cells": None,
+        "--json": None,
+        "--check": False,
+    },
+}
 
 
 class TestParser:
@@ -20,6 +63,43 @@ class TestParser:
         args = build_parser().parse_args(["table3"])
         assert args.requests == 600
         assert args.seed == 2003
+
+
+class TestTournamentCommands:
+    @staticmethod
+    def subcommand(name):
+        parser = build_parser()
+        sub = next(
+            a for a in parser._actions if isinstance(a, argparse._SubParsersAction)
+        )
+        return sub.choices[name]
+
+    @pytest.mark.parametrize("name", sorted(TOURNAMENT_FLAGS))
+    def test_flags_and_defaults_unchanged(self, name):
+        flags = {
+            action.option_strings[-1]: action.default
+            for action in self.subcommand(name)._actions
+            if action.option_strings and action.dest != "help"
+        }
+        assert flags == TOURNAMENT_FLAGS[name]
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            # The CI smoke command lines.
+            "experiment4 --requests 20 --loss 0.0 0.2 --churn 0.0 --check",
+            "experiment5 --requests 120 --check",
+            "experiment6 --requests 30 --bursty-agents 30 --check",
+            "experiment7 --workflows 4 --cells fork-join-uniform pipeline --check",
+        ],
+    )
+    def test_smoke_command_lines_parse(self, argv):
+        args = build_parser().parse_args(argv.split())
+        assert args.check is True
+        if args.command == "experiment4":
+            assert args.loss == [0.0, 0.2] and args.churn == [0.0]
+        if args.command == "experiment7":
+            assert args.cells == ["fork-join-uniform", "pipeline"]
 
 
 class TestCommands:
@@ -108,8 +188,9 @@ class TestCommands:
         import json as json_mod
 
         parsed = json_mod.loads(json_path.read_text())
-        assert len(parsed["ablation"]) == 2
-        assert len(parsed["resilient"]) == 2
+        contenders = [point["contender"] for point in parsed["points"]]
+        assert contenders.count("no-retry") == 2
+        assert contenders.count("resilient") == 2
 
     def test_trace_clean_run_with_check(self, capsys):
         assert main(["trace", "--requests", "12", "--check"]) == 0
@@ -225,3 +306,37 @@ class TestCommands:
         second = capsys.readouterr().out
         # The resumed soak reports the same windows and final digest.
         assert first.splitlines()[-1] == second.splitlines()[-1]
+
+    def test_resumed_soak_keeps_checkpointing(self, capsys, tmp_path):
+        snap, again = tmp_path / "soak.json", tmp_path / "again.json"
+        assert main([
+            "soak", "--requests", "40", "--window", "30",
+            "--checkpoint", str(snap),
+        ]) == 0
+        first = capsys.readouterr().out
+        assert main([
+            "resume", str(snap), "--checkpoint-path", str(again),
+            "--checkpoint-every", "50",
+        ]) == 0
+        capsys.readouterr()
+        assert again.exists()
+        assert main(["resume", str(again)]) == 0
+        assert first.splitlines()[-1] == capsys.readouterr().out.splitlines()[-1]
+
+    def test_experiment5_and_7_reduced(self, capsys, tmp_path):
+        import json as json_mod
+
+        json_path = tmp_path / "exp7.json"
+        assert main([
+            "experiment7", "--workflows", "2", "--cells", "pipeline",
+            "--json", str(json_path),
+        ]) == 0
+        assert "Experiment 7" in capsys.readouterr().out
+        points = json_mod.loads(json_path.read_text())["points"]
+        assert [p["contender"] for p in points] == ["aware", "naive"]
+        assert main([
+            "experiment5", "--requests", "12", "--churn", "0.0",
+            "--stragglers", "0",
+        ]) == 0
+        out = capsys.readouterr().out
+        assert "Experiment 5" in out and " on " in out and " off " in out

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import asdict
+from dataclasses import asdict, fields
 from typing import Any, Dict, List
 
 from repro.errors import CheckpointError
@@ -126,6 +126,12 @@ def restore_system(system, state: Dict[str, Any]) -> None:
 
 # ------------------------------------------------------------- configuration
 
+#: Top-level config keys that format-v2 snapshots may carry but this build
+#: no longer has.  ``engine`` chose between two event engines whose
+#: outputs were equivalence-tested byte-identical, so a snapshot resumes
+#: unchanged on the one engine left, whichever it recorded.
+RETIRED_CONFIG_KEYS = frozenset({"engine"})
+
 
 def encode_config(config) -> Dict[str, Any]:
     """``ExperimentConfig`` → JSON-ready dict (policy as its enum value)."""
@@ -138,7 +144,10 @@ def decode_config(data: Dict[str, Any]):
     """Inverse of :func:`encode_config`.
 
     Unknown keys (a snapshot written by a different build) raise
-    :class:`CheckpointError` rather than being silently dropped.
+    :class:`CheckpointError` rather than being silently dropped, at the
+    top level as well as inside nested sections.  The one exception is
+    :data:`RETIRED_CONFIG_KEYS`: fields this build no longer has whose
+    every recorded value replays identically without them.
     """
     from repro.agents.discovery import DiscoveryConfig
     from repro.agents.membership import MembershipConfig
@@ -150,6 +159,12 @@ def decode_config(data: Dict[str, Any]):
     from repro.scheduling.ga import GAConfig
     from repro.scheduling.scheduler import SchedulingPolicy
 
+    known = {f.name for f in fields(ExperimentConfig)}
+    unknown = sorted(set(data) - known - RETIRED_CONFIG_KEYS)
+    if unknown:
+        raise CheckpointError(
+            f"snapshot config does not match this build: unknown keys {unknown}"
+        )
     try:
         ga_raw = dict(data["ga_config"])
         weights = CostWeights(**ga_raw.pop("weights"))
@@ -182,16 +197,8 @@ def decode_config(data: Dict[str, Any]):
                 None if faults is None else FaultPlanSpec.from_json(json.dumps(faults))
             ),
             churn=churn_spec,
-            # Snapshots written before engine selection existed carry no
-            # "engine" key; they restore onto the partitioned engine, which
-            # replays byte-identically (the engines are equivalence-tested).
-            engine=str(data.get("engine", "partitioned")),
-            # Pre-membership snapshots carry no "membership" key; they
-            # restore with the detector disabled (the seed behaviour).
-            membership=MembershipConfig(**data.get("membership") or {}),
-            # Pre-policy snapshots carry no "global_policy" key; they
-            # restore on eq10, the seed dispatch rule.
-            global_policy=GlobalPolicyConfig(**data.get("global_policy") or {}),
+            membership=MembershipConfig(**data["membership"]),
+            global_policy=GlobalPolicyConfig(**data["global_policy"]),
         )
     except (KeyError, TypeError) as exc:
         raise CheckpointError(f"snapshot config does not match this build: {exc}")

@@ -199,9 +199,6 @@ def build_parser() -> argparse.ArgumentParser:
                           help="multiplier on every drawn deadline offset")
     scenario.add_argument("--policy", default="fifo", choices=("fifo", "ga"),
                           help="scheduling policy when running the scenario")
-    scenario.add_argument("--engine", default="partitioned",
-                          choices=("partitioned", "single-heap"),
-                          help="event engine to run the scenario on")
     scenario.add_argument("--chaos", default="none",
                           choices=("none", "loss", "coordinator-churn",
                                    "stragglers", "grey-combo"),
@@ -518,7 +515,6 @@ def _cmd_scenario(args) -> int:
     config = spec.config(
         policy=(SchedulingPolicy.GA if args.policy == "ga"
                 else SchedulingPolicy.FIFO),
-        engine=args.engine,
     )
     tracer = None
     if args.check:
@@ -526,7 +522,7 @@ def _cmd_scenario(args) -> int:
 
         tracer = Tracer(MemorySink())
     print(f"Running {config.name} ({len(scenario.workload)} requests, "
-          f"{args.agents} agents, {args.engine} engine)...", file=sys.stderr)
+          f"{args.agents} agents)...", file=sys.stderr)
     from repro.experiments.runner import Run
 
     # Chaos runs lose messages and crash agents: use the horizon-tolerant

@@ -76,11 +76,6 @@ class ExperimentConfig:
     # *local* scheduling algorithm (FIFO/GA); this knob selects the
     # *global* dispatch rule the agents run between clusters.
     global_policy: GlobalPolicyConfig = field(default_factory=GlobalPolicyConfig)
-    # Event-engine selection: "partitioned" (per-cluster lanes) or
-    # "single-heap" (the preserved seed engine, kept as a correctness
-    # oracle and perf baseline).  Byte-identical outputs either way —
-    # property-tested in tests/properties/test_engine_equivalence.py.
-    engine: str = "partitioned"
 
     def __post_init__(self) -> None:
         if not self.name:
@@ -99,8 +94,6 @@ class ExperimentConfig:
             raise ExperimentError(f"unknown advertisement {self.advertisement!r}")
         if self.freetime_mode not in ("makespan", "mean", "min"):
             raise ExperimentError(f"unknown freetime_mode {self.freetime_mode!r}")
-        if self.engine not in ("partitioned", "single-heap"):
-            raise ExperimentError(f"unknown engine {self.engine!r}")
         if self.global_policy.kind != "eq10" and not self.agents_enabled:
             raise ExperimentError(
                 f"global policy {self.global_policy.kind!r} requires the "

@@ -13,8 +13,8 @@ sequential loop it replaces (each job re-seeds from its own config;
 nothing about scheduling order can leak between experiments).
 
 Spawn-safety: the worker is a module-level function taking one picklable
-dataclass, so the fabric works under every multiprocessing start method —
-including ``spawn``, where the child imports this module fresh.  Results
+dataclass, and the pool always starts its workers with ``spawn``
+(:data:`MP_CONTEXT`), where the child imports this module fresh.  Results
 (:class:`~repro.experiments.runner.ExperimentResult`) are plain dataclasses
 of dataclasses and pickle cleanly back to the parent.
 
@@ -42,11 +42,14 @@ from repro.pace.cache import CacheStats
 
 __all__ = [
     "ExperimentJob",
-    "default_jobs",
     "job_key",
     "merge_cache_stats",
     "run_many",
 ]
+
+#: Multiprocessing start method of the worker pool.  ``"spawn"`` exists on
+#: every platform and flushes out hidden unpicklable state.
+MP_CONTEXT = "spawn"
 
 
 @dataclass(frozen=True)
@@ -62,14 +65,6 @@ class ExperimentJob:
     config: ExperimentConfig
     topology: Optional[GridTopology] = None
     workload: Optional[Tuple[WorkloadItem, ...]] = None
-
-
-def default_jobs() -> int:
-    """A sensible worker count: ``REPRO_JOBS`` env var, else the CPU count."""
-    env = os.environ.get("REPRO_JOBS")
-    if env:
-        return max(1, int(env))
-    return os.cpu_count() or 1
 
 
 def _run_job(job: ExperimentJob) -> ExperimentResult:
@@ -165,7 +160,6 @@ def run_many(
     configs: Sequence[ExperimentJob],
     *,
     jobs: int = 1,
-    mp_context: str = "spawn",
     manifest_dir: Optional[str] = None,
 ) -> List[ExperimentResult]:
     """Run every experiment, optionally across worker processes; ordered results.
@@ -183,10 +177,6 @@ def run_many(
         committed ``sweep_speedup < 1`` on a 1-CPU runner is exactly that
         failure mode), and a clamp that lands on one worker short-circuits
         to the in-process path, skipping pool and pickling entirely.
-    mp_context:
-        Multiprocessing start method.  ``"spawn"`` (default) is the only
-        method that exists on every platform and the one that flushes out
-        hidden unpicklable state; ``"fork"`` is faster to start on Linux.
     manifest_dir:
         When given, the sweep becomes crash-resumable: each finished job's
         result is pickled into this directory and indexed in
@@ -232,9 +222,8 @@ def run_many(
         for index in pending:
             finish(index, _run_job(configs[index]))
     else:
-        context = get_context(mp_context)
         with ProcessPoolExecutor(
-            max_workers=workers, mp_context=context
+            max_workers=workers, mp_context=get_context(MP_CONTEXT)
         ) as pool:
             futures = [(index, pool.submit(_run_job, configs[index])) for index in pending]
             # Collect in submission order — deterministic regardless of

@@ -27,7 +27,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import asdict, dataclass, field, fields
-from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.agents.advertisement import (
     AdvertisementStrategy,
@@ -59,7 +59,6 @@ from repro.pace.workloads import ApplicationSpec, paper_application_specs
 from repro.scheduling.scheduler import LocalScheduler
 from repro.sim.engine import Engine
 from repro.sim.events import Priority
-from repro.sim.reference import SingleHeapEngine
 from repro.tasks.execution import ExecutionMode
 from repro.tasks.task import Environment
 from repro.tasks.workflow import WorkflowCoordinator
@@ -89,20 +88,13 @@ MODES = ("strict", "horizon", "soak")
 #: far above any legitimate run (the full case study fires ~10^5 events).
 MAX_EVENTS = 20_000_000
 
-#: The engines :func:`build_grid` can assemble — selected by
-#: ``ExperimentConfig.engine``.  Identical surface, property-tested
-#: byte-identical outputs; the single-heap engine is the preserved seed
-#: implementation kept as oracle and perf baseline.
-EngineType = Union[Engine, SingleHeapEngine]
-
-
 @dataclass
 class GridSystem:
     """A fully wired grid ready to receive requests."""
 
     config: ExperimentConfig
     topology: GridTopology
-    sim: EngineType
+    sim: Engine
     transport: Transport
     evaluator: EvaluationEngine
     schedulers: Dict[str, LocalScheduler]
@@ -254,11 +246,7 @@ def build_grid(
     """
     topo = topology if topology is not None else case_study_topology()
     rngs = RngRegistry(config.master_seed)
-    sim: EngineType = (
-        Engine(tracer=tracer)
-        if config.engine == "partitioned"
-        else SingleHeapEngine(tracer=tracer)
-    )
+    sim = Engine(tracer=tracer)
     transport = Transport(sim, tracer=tracer)
     evaluator = EvaluationEngine(
         noise_factor=config.prediction_noise,

@@ -16,8 +16,10 @@ import numpy as np
 
 from repro.errors import ExperimentError
 from repro.experiments.casestudy import GridTopology
+from repro.experiments.config import table2_experiments
+from repro.experiments.parallel import merge_cache_stats, run_many
 from repro.experiments.runner import ExperimentResult
-from repro.experiments.tables import check_paper_trends, run_table3
+from repro.experiments.tables import check_paper_trends, table3_jobs
 
 __all__ = ["SeedSweepSummary", "run_seed_sweep"]
 
@@ -59,8 +61,6 @@ class SeedSweepSummary:
         cache; :class:`~repro.pace.cache.CacheStats` merges, so the §2.2
         redundancy argument can be made sweep-wide.
         """
-        from repro.experiments.parallel import merge_cache_stats
-
         return merge_cache_stats(
             [r for results in self.per_seed.values() for r in results]
         )
@@ -77,27 +77,30 @@ def run_seed_sweep(
 
     Each seed generates its own workload (agents, applications, deadlines
     all redrawn); within one seed the three experiments still share the
-    identical workload, as §4.1 requires.  ``jobs > 1`` flattens the
-    ``len(seeds) × 3`` independent experiments onto the process-parallel
-    fabric; per-seed workloads are generated once in the parent and pinned
-    into every job, so the summary is identical to the sequential run.
+    identical workload, as §4.1 requires.  The ``len(seeds) × 3``
+    independent experiments go to the experiment fabric as one job list
+    (``jobs`` worker processes); per-seed workloads are generated once in
+    the parent and pinned into every job, so the summary does not depend
+    on ``jobs``.
     """
     if not seeds:
         raise ExperimentError("seeds must not be empty")
     if len(set(seeds)) != len(seeds):
         raise ExperimentError("seeds must be unique")
-    per_seed: Dict[int, List[ExperimentResult]] = {}
+    seed_jobs = [
+        table3_jobs(
+            table2_experiments(master_seed=int(seed), request_count=request_count),
+            topology,
+        )
+        for seed in seeds
+    ]
+    flat = iter(run_many([job for batch in seed_jobs for job in batch], jobs=jobs))
+    per_seed: Dict[int, List[ExperimentResult]] = {
+        int(seed): [next(flat) for _ in batch]
+        for seed, batch in zip(seeds, seed_jobs)
+    }
     support: Dict[str, List[bool]] = {}
     samples: Dict[Tuple[int, str], List[float]] = {}
-    if jobs == 1:
-        for seed in seeds:
-            per_seed[int(seed)] = run_table3(
-                master_seed=int(seed), request_count=request_count, topology=topology
-            )
-    else:
-        per_seed = _sweep_parallel(
-            seeds, request_count=request_count, topology=topology, jobs=jobs
-        )
     for seed in seeds:
         results = per_seed[int(seed)]
         for check in check_paper_trends(results):
@@ -121,39 +124,3 @@ def run_seed_sweep(
         totals=totals,
         per_seed=per_seed,
     )
-
-
-def _sweep_parallel(
-    seeds: Sequence[int],
-    *,
-    request_count: int,
-    topology: GridTopology | None,
-    jobs: int,
-) -> Dict[int, List[ExperimentResult]]:
-    """Fan the full (seed × experiment) grid out over the parallel fabric."""
-    from repro.experiments.casestudy import case_study_topology
-    from repro.experiments.config import table2_experiments
-    from repro.experiments.parallel import ExperimentJob, run_many
-    from repro.experiments.workload import generate_workload
-    from repro.pace.workloads import paper_application_specs
-
-    topo = topology if topology is not None else case_study_topology()
-    specs = paper_application_specs()
-    flat: List[ExperimentJob] = []
-    for seed in seeds:
-        cfgs = table2_experiments(master_seed=int(seed), request_count=request_count)
-        workload = tuple(
-            generate_workload(
-                topo.agent_names,
-                specs,
-                count=cfgs[0].request_count,
-                interval=cfgs[0].request_interval,
-                master_seed=cfgs[0].master_seed,
-            )
-        )
-        flat.extend(ExperimentJob(cfg, topo, workload) for cfg in cfgs)
-    results = run_many(flat, jobs=jobs)
-    per_seed: Dict[int, List[ExperimentResult]] = {}
-    for i, seed in enumerate(seeds):
-        per_seed[int(seed)] = results[3 * i : 3 * i + 3]
-    return per_seed

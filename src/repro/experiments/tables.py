@@ -5,7 +5,8 @@ Each public function maps onto one evaluation artefact:
 * :func:`table1_rows` / :func:`validate_table1` — Table 1 (the seven
   applications' predictions on the SGIOrigin2000);
 * :func:`run_table3` — runs experiments 1–3 and returns their metrics,
-  the data behind Table 3 *and* Figures 8–10;
+  the data behind Table 3 *and* Figures 8–10 (:func:`table3_jobs` pins
+  them to one shared workload);
 * :func:`figure8_series` / :func:`figure9_series` / :func:`figure10_series`
   — per-metric figure datasets;
 * :func:`check_paper_trends` — the qualitative shape assertions listed in
@@ -18,9 +19,10 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import ExperimentError
-from repro.experiments.casestudy import GridTopology
+from repro.experiments.casestudy import GridTopology, case_study_topology
 from repro.experiments.config import ExperimentConfig, table2_experiments
-from repro.experiments.runner import ExperimentResult, run_experiment
+from repro.experiments.parallel import ExperimentJob, run_many
+from repro.experiments.runner import ExperimentResult
 from repro.experiments.workload import generate_workload
 from repro.metrics.balancing import GridMetrics
 from repro.metrics.reporting import figure_series
@@ -30,12 +32,14 @@ from repro.pace.workloads import (
     APPLICATION_NAMES,
     TABLE1_DEADLINE_BOUNDS,
     TABLE1_TIMES,
+    paper_application_specs,
     paper_applications,
 )
 
 __all__ = [
     "table1_rows",
     "validate_table1",
+    "table3_jobs",
     "run_table3",
     "figure8_series",
     "figure9_series",
@@ -78,6 +82,31 @@ def validate_table1() -> None:
             )
 
 
+def table3_jobs(
+    configs: Sequence[ExperimentConfig], topology: Optional[GridTopology] = None
+) -> List[ExperimentJob]:
+    """*configs* as jobs pinned to one shared workload.
+
+    The workload is generated once, from the first config's seed, and
+    pinned into every job, making the experiments differ *only* in their
+    load-balancing configuration, exactly as §4.1 requires.
+    """
+    if not configs:
+        raise ExperimentError("no experiment configurations given")
+    topo = topology if topology is not None else case_study_topology()
+    first = configs[0]
+    workload = tuple(
+        generate_workload(
+            topo.agent_names,
+            paper_application_specs(),
+            count=first.request_count,
+            interval=first.request_interval,
+            master_seed=first.master_seed,
+        )
+    )
+    return [ExperimentJob(cfg, topo, workload) for cfg in configs]
+
+
 def run_table3(
     *,
     master_seed: int = 2003,
@@ -88,37 +117,17 @@ def run_table3(
 ) -> List[ExperimentResult]:
     """Run experiments 1–3 over one shared workload; returns their results.
 
-    The workload is generated once and passed to every run, making the
-    three experiments differ *only* in their load-balancing configuration,
-    exactly as §4.1 requires.  ``jobs > 1`` fans the (independent)
-    experiments out over the process-parallel fabric; results are ordered
-    and seed-identical either way.
+    *configs* defaults to the paper's three (:func:`table2_experiments`).
+    The runs go through :func:`table3_jobs` to the experiment fabric;
+    ``jobs > 1`` fans the (independent) experiments out over worker
+    processes, and results are ordered and seed-identical either way.
     """
     cfgs = (
         list(configs)
         if configs is not None
         else table2_experiments(master_seed=master_seed, request_count=request_count)
     )
-    if not cfgs:
-        raise ExperimentError("no experiment configurations given")
-    # One workload for all experiments (same agents, same seed).
-    from repro.experiments.casestudy import case_study_topology
-    from repro.experiments.parallel import ExperimentJob, run_many
-    from repro.pace.workloads import paper_application_specs
-
-    topo = topology if topology is not None else case_study_topology()
-    workload = generate_workload(
-        topo.agent_names,
-        paper_application_specs(),
-        count=cfgs[0].request_count,
-        interval=cfgs[0].request_interval,
-        master_seed=cfgs[0].master_seed,
-    )
-    if jobs == 1:
-        return [run_experiment(cfg, topo, workload=workload) for cfg in cfgs]
-    return run_many(
-        [ExperimentJob(cfg, topo, tuple(workload)) for cfg in cfgs], jobs=jobs
-    )
+    return run_many(table3_jobs(cfgs, topology), jobs=jobs)
 
 
 def figure8_series(results: Sequence[ExperimentResult]) -> Dict[str, List[float]]:

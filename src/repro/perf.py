@@ -17,11 +17,9 @@ The suite times the hot kernels this codebase optimises:
 * ``sweep_speedup`` — parallel-over-sequential speedup of a four-seed
   :func:`~repro.experiments.sweep.run_seed_sweep` on the experiment
   fabric.
-* ``engine_events_per_s`` / ``engine_events_per_s_single_heap`` —
-  events/second of the lane-partitioned engine versus the preserved
-  single-heap seed engine on an identical 1000-lane self-rescheduling
-  timer workload (the event pattern a 1000-agent grid produces); the
-  derived ``engine_partition_speedup`` is the scale gate's ≥2× claim.
+* ``engine_events_per_s`` — events/second of the lane-partitioned engine
+  on a 1000-lane self-rescheduling timer workload (the event pattern a
+  1000-agent grid produces).
 * ``engine_event_alloc`` — Event+Message allocations/second, the
   ``__slots__`` hot-path win.
 * ``scale_grid_1000`` — completed requests/second of a full generated
@@ -293,34 +291,24 @@ def bench_engine_events(
     events: int = 250_000,
     warmup: int = 30_000,
     repeats: int = 6,
-) -> List[BenchResult]:
-    """Events/second: partitioned lanes versus the single-heap reference.
+) -> BenchResult:
+    """Events/second of the lane-partitioned engine on a 1000-lane workload.
 
-    Both engines drive the identical workload — per-lane request arrivals
-    each fanning out a same-instant burst of dispatch events.  That is the
-    measured shape of the real simulator: transport latency defaults to
-    0.0 with asynchronous delivery, so an arrival's request/response/
-    dispatch chain fires as one same-time cascade in the agent's lane (a
-    probe of a generated 300-agent scenario put 75 % of fires inside
-    same-``(time, lane)`` runs of ~1200 events; ``burst`` stays far below
-    that, which is *conservative* — longer cascades favour the partitioned
-    engine's carry path).  A ~2 % cross-lane stream rides in the shared
-    default lane.  The single-heap engine pays ``O(log n_pending)``
-    *Python-level* ``Event.__lt__`` comparisons per operation across one
-    six-figure-entry heap; the partitioned engine pays C tuple comparisons
+    Per-lane request arrivals each fan out a same-instant burst of
+    dispatch events.  That is the measured shape of the real simulator:
+    transport latency defaults to 0.0 with asynchronous delivery, so an
+    arrival's request/response/dispatch chain fires as one same-time
+    cascade in the agent's lane (a probe of a generated 300-agent scenario
+    put 75 % of fires inside same-``(time, lane)`` runs of ~1200 events;
+    ``burst`` stays far below that, which is *conservative* — longer
+    cascades favour the engine's carry path).  A ~2 % cross-lane stream
+    rides in the shared default lane.  The engine pays C tuple comparisons
     on small per-lane heaps and skips the lane index entirely while a
-    cascade holds the minimum.  Firing order is identical by construction
-    — the engine equivalence property suite asserts byte-identity — so
-    this pair measures pure heap mechanics on the same event sequence.
-
-    The two engines are interleaved within each repeat (not timed in
-    separate blocks) so slow machine windows hit both alike, and each
-    takes its best repeat; the derived ``engine_partition_speedup`` ratio
-    is the scale gate.
+    cascade holds the minimum; the best of ``repeats`` fresh engines is
+    reported.
     """
     from repro.sim.engine import Engine
     from repro.sim.events import DEFAULT_LANE, Priority
-    from repro.sim.reference import SingleHeapEngine
 
     def noop() -> None:
         return None
@@ -360,28 +348,22 @@ def bench_engine_events(
         engine.run(max_events=events)
         return events / (time.perf_counter() - start)
 
-    partitioned = single = 0.0
+    best = 0.0
     gc_was_enabled = gc.isenabled()
-    gc.disable()  # collector pauses land unevenly; both sides run without
+    gc.disable()  # collector pauses land unevenly across repeats
     try:
         for _ in range(repeats):
-            partitioned = max(partitioned, measure(Engine()))
-            single = max(single, measure(SingleHeapEngine()))
+            best = max(best, measure(Engine()))
     finally:
         if gc_was_enabled:
             gc.enable()
 
-    detail = (
-        f"best of {repeats} interleaved, {events} events after {warmup} "
+    return BenchResult(
+        "engine_events_per_s", best, "events/s", True,
+        f"best of {repeats}, {events} events after {warmup} "
         f"warmup; {n_lanes} lanes x {arrivals_per_lane} arrivals, "
-        f"burst {burst}, {max(1, n_lanes // 50)}x40 cross-lane"
+        f"burst {burst}, {max(1, n_lanes // 50)}x40 cross-lane",
     )
-    return [
-        BenchResult("engine_events_per_s", partitioned,
-                    "events/s", True, detail),
-        BenchResult("engine_events_per_s_single_heap", single,
-                    "events/s", True, detail),
-    ]
 
 
 def bench_event_alloc(count: int = 200_000, repeats: int = 5) -> BenchResult:
@@ -489,9 +471,6 @@ def machine_info() -> Dict[str, object]:
 #: rest).
 DERIVED_RATIOS = {
     "evaluate_bulk_speedup": ("evaluate_counts", "evaluate_scalar"),
-    "engine_partition_speedup": (
-        "engine_events_per_s", "engine_events_per_s_single_heap",
-    ),
 }
 
 
@@ -509,9 +488,9 @@ def _suite_specs(requests: int, jobs: int):
         (("sweep_sequential_wall", "sweep_parallel_wall", "sweep_speedup"),
          f"sweep speedup (4 seeds, jobs={jobs})...",
          lambda: bench_sweep_speedup(requests, jobs=jobs)),
-        (("engine_events_per_s", "engine_events_per_s_single_heap"),
-         "event engine throughput (partitioned vs single-heap, 1000 lanes)...",
-         bench_engine_events),
+        (("engine_events_per_s",),
+         "event engine throughput (1000 lanes)...",
+         lambda: [bench_engine_events()]),
         (("engine_event_alloc",),
          "hot-path allocation (slotted Event + Message)...",
          lambda: [bench_event_alloc()]),

@@ -22,7 +22,6 @@ from repro.scheduling.fifo import (
     Allocation,
     FIFOScheduler,
     earliest_free_allocation,
-    exhaustive_allocation,
 )
 from repro.scheduling.fitness import scale_fitness
 from repro.scheduling.ga import GAConfig, GAScheduler
@@ -61,7 +60,6 @@ __all__ = [
     "Allocation",
     "FIFOScheduler",
     "earliest_free_allocation",
-    "exhaustive_allocation",
     "scale_fitness",
     "GAConfig",
     "GAScheduler",

@@ -6,21 +6,18 @@ PACE predictive data).  All of the possible resource allocations (a total
 of 2^16 − 1 possibilities) are tried.  As soon as the current best solution
 is found, it is fixed and will not change as new tasks enter the system."
 
-Two search strategies implement the allocation choice:
-
-* :func:`exhaustive_allocation` — the literal 2^n − 1 subset enumeration,
-  practical only for small n; kept as the reference implementation.
-* :func:`earliest_free_allocation` — for each size k the optimal subset is
-  the k earliest-free nodes (on a homogeneous resource the duration depends
-  only on k, and replacing any chosen node by an earlier-free one can only
-  lower the start time), so searching sizes 1..n over the free-time order
-  is equivalent and O(n log n).  A property test asserts equivalence.
+:func:`earliest_free_allocation` makes the same choice as that literal
+search in O(n log n): for each size k the optimal subset is the k
+earliest-free nodes (on a homogeneous resource the duration depends only
+on k, and replacing any chosen node by an earlier-free one can only lower
+the start time), so only n candidates need comparing.  The literal
+2^n − 1 subset enumeration is kept in the test suite as its oracle, and a
+property test asserts the two agree.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -30,7 +27,6 @@ from repro.utils.validation import check_non_empty
 
 __all__ = [
     "Allocation",
-    "exhaustive_allocation",
     "earliest_free_allocation",
     "FIFOScheduler",
 ]
@@ -65,26 +61,6 @@ def _best(candidates: List[Allocation]) -> Allocation:
     )
 
 
-def exhaustive_allocation(
-    free_times: Sequence[float], duration: SizeDurationFn
-) -> Allocation:
-    """Try every non-empty node subset; return the earliest-completion one.
-
-    The literal strategy the paper describes.  Exponential in the node
-    count — use :func:`earliest_free_allocation` beyond ~16 nodes.
-    """
-    check_non_empty(free_times, "free_times")
-    n = len(free_times)
-    candidates: List[Allocation] = []
-    for k in range(1, n + 1):
-        dur = float(duration(k))
-        _check_duration(dur, k)
-        for subset in combinations(range(n), k):
-            start = max(free_times[i] for i in subset)
-            candidates.append(Allocation(subset, start, start + dur))
-    return _best(candidates)
-
-
 def earliest_free_allocation(
     free_times: Sequence[float], duration: SizeDurationFn
 ) -> Allocation:
@@ -93,7 +69,7 @@ def earliest_free_allocation(
     For each size k the k earliest-free nodes minimise the start time, and
     duration depends only on k, so only n candidates need comparing.  Node
     order within equal free times follows ascending id, matching the
-    tie-break of :func:`exhaustive_allocation`.
+    tie-break of a full subset search (:func:`_best`).
     """
     check_non_empty(free_times, "free_times")
     free = np.asarray(free_times, dtype=float)
@@ -122,22 +98,15 @@ class FIFOScheduler:
     ----------
     n_nodes:
         Number of processing nodes.
-    exhaustive:
-        Use the literal subset enumeration (reference mode, small n only).
 
     The scheduler maintains booked free times per node; ``place`` books the
     best allocation for an arriving task and returns it.
     """
 
-    def __init__(self, n_nodes: int, *, exhaustive: bool = False) -> None:
+    def __init__(self, n_nodes: int) -> None:
         if n_nodes < 1:
             raise ScheduleError(f"n_nodes must be >= 1, got {n_nodes}")
-        if exhaustive and n_nodes > 20:
-            raise ScheduleError(
-                f"exhaustive search over {n_nodes} nodes is intractable"
-            )
         self._free = np.zeros(n_nodes, dtype=float)
-        self._exhaustive = exhaustive
         self._placements: Dict[int, Allocation] = {}
 
     @property
@@ -210,8 +179,7 @@ class FIFOScheduler:
         if task_id in self._placements:
             raise ScheduleError(f"task {task_id} already placed")
         free = np.maximum(self._free, now)
-        search = exhaustive_allocation if self._exhaustive else earliest_free_allocation
-        allocation = search(free, duration)
+        allocation = earliest_free_allocation(free, duration)
         for nid in allocation.node_ids:
             self._free[nid] = allocation.completion
         self._placements[task_id] = allocation

@@ -3,7 +3,6 @@
 from repro.sim.engine import Engine, EngineLane
 from repro.sim.events import DEFAULT_LANE, Event, EventHandle, Priority
 from repro.sim.process import PeriodicProcess, delayed
-from repro.sim.reference import SingleHeapEngine
 
 __all__ = [
     "DEFAULT_LANE",
@@ -13,6 +12,5 @@ __all__ = [
     "EventHandle",
     "Priority",
     "PeriodicProcess",
-    "SingleHeapEngine",
     "delayed",
 ]

@@ -23,7 +23,8 @@ Design notes
   globally smallest key.  Firing order is therefore *identical* to a single
   global heap regardless of how events are assigned to lanes — lanes are a
   performance partitioning, never a semantic one (property-tested for
-  byte-identity against :class:`repro.sim.reference.SingleHeapEngine`).
+  byte-identity against the global-heap reference engine in
+  ``tests/oracles/engine_reference.py``).
 * The index tolerates stale entries (a lane's head moved since the entry
   was pushed).  Liveness invariant: whenever a lane's head key changes —
   on a head-lowering schedule, after a fire, or when a cancelled head is
@@ -46,7 +47,7 @@ from __future__ import annotations
 
 import heapq
 from heapq import heappop, heappush, heapreplace
-from typing import TYPE_CHECKING, Callable, Dict, Iterator, List, Optional, Tuple
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Tuple
 
 from repro.errors import SimulationError
 from repro.obs.records import EventFired
@@ -245,22 +246,15 @@ class Engine:
         self,
         descriptor: dict,
         callback: Callable[[], None],
-        *,
-        default_lane: str = DEFAULT_LANE,
     ) -> Event:
         """Re-create a checkpointed event with its **original** identity.
 
-        Unlike :meth:`schedule`, the sequence number comes from the
-        *descriptor* (captured by :meth:`EventHandle.descriptor` at snapshot
-        time) rather than the engine counter, so the restored heap fires in
+        Unlike :meth:`schedule`, the sequence number and lane come from the
+        *descriptor* (captured by :meth:`Event.descriptor` at snapshot time)
+        rather than the engine counter, so the restored heap fires in
         exactly the order the interrupted run would have.  Must only be
         called after :meth:`restore_state` has set the clock and sequence
         counter; the descriptor's sequence must predate the restored counter.
-
-        Descriptors written before lanes existed carry no ``lane`` key and
-        restore into *default_lane* (a :class:`EngineLane` passes its own
-        lane); firing order is lane-independent, so either way the resumed
-        run replays identically.
         """
         time = float(descriptor["time"])
         sequence = int(descriptor["sequence"])
@@ -279,7 +273,7 @@ class Engine:
             sequence,
             callback,
             str(descriptor.get("label", "")),
-            str(descriptor.get("lane", default_lane)),
+            str(descriptor["lane"]),
             self._cancel_hook,
         )
         self._push(event)
@@ -694,15 +688,6 @@ class Engine:
         if self._running:
             raise SimulationError("engine is already running (reentrant run call)")
 
-    def iter_labels(self) -> Iterator[str]:
-        """Labels of pending events, in heap (not firing) order — debug aid."""
-        return (
-            entry[3].label
-            for lane in sorted(self._lanes)
-            for entry in self._lanes[lane]
-            if not entry[3].cancelled
-        )
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"Engine(now={self._now:.3f}, pending={self.pending}, "
@@ -842,10 +827,8 @@ class EngineLane:
     def restore_event(
         self, descriptor: dict, callback: Callable[[], None]
     ) -> Event:
-        """Restore a checkpointed event, defaulting lane-less descriptors here."""
-        return self._engine.restore_event(
-            descriptor, callback, default_lane=self._lane
-        )
+        """Restore a checkpointed event into the lane its descriptor names."""
+        return self._engine.restore_event(descriptor, callback)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"EngineLane(lane={self._lane!r}, engine={self._engine!r})"

@@ -1,7 +1,7 @@
 """Event objects for the discrete-event engine.
 
 An :class:`Event` pairs a virtual firing time with a zero-argument callback.
-Events are totally ordered by ``(time, priority, sequence)`` so that
+The engine fires events in ``(time, priority, sequence)`` order so that
 simultaneous events fire deterministically: lower priority value first, then
 insertion order.  Determinism matters — the paper's experiments are seeded
 and must replay identically.
@@ -9,10 +9,11 @@ and must replay identically.
 ``Event`` is a hand-rolled ``__slots__`` class rather than a dataclass: the
 engine allocates one per scheduled callback, which makes construction and
 attribute access the hottest allocation path in the simulator (see
-``engine_event_alloc`` in the perf suite for the measured win).  The
-partitioned engine never calls :meth:`Event.__lt__` — its heaps hold
-``(time, priority, sequence, event)`` tuples that compare in C — but the
-method is kept so the single-heap reference engine can order raw events.
+``engine_event_alloc`` in the perf suite for the measured win).  Events
+define no comparison of their own (equality is identity): the engine's heaps
+hold ``(time, priority, sequence, event)`` tuples that compare in C, and the
+unique sequence means the event itself is never compared.  The engine
+returns each event as its own handle; :data:`EventHandle` names that role.
 """
 
 from __future__ import annotations
@@ -44,7 +45,7 @@ class Priority:
 
 
 class Event:
-    """A scheduled callback; ordered by ``(time, priority, sequence)``.
+    """A scheduled callback, fired in ``(time, priority, sequence)`` order.
 
     Attributes
     ----------
@@ -107,25 +108,6 @@ class Event:
         self.fired = False
         self.on_cancel = on_cancel
 
-    def __lt__(self, other: "Event") -> bool:
-        if self.time != other.time:
-            return self.time < other.time
-        if self.priority != other.priority:
-            return self.priority < other.priority
-        return self.sequence < other.sequence
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Event):
-            return NotImplemented
-        return (
-            self.time == other.time
-            and self.priority == other.priority
-            and self.sequence == other.sequence
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.time, self.priority, self.sequence))
-
     def cancel(self) -> None:
         """Mark the event cancelled; the engine will skip it when popped.
 
@@ -138,10 +120,9 @@ class Event:
         if self.on_cancel is not None:
             self.on_cancel()
 
-    # The partitioned engine returns events directly as their own handles
-    # (one object allocation per schedule instead of two), so Event carries
-    # the full handle surface; :class:`EventHandle` remains as the wrapper
-    # the single-heap reference engine hands out.
+    # The engine returns events directly as their own handles (one object
+    # allocation per schedule instead of two), so Event carries the full
+    # handle surface.
 
     @property
     def pending(self) -> bool:
@@ -171,77 +152,7 @@ class Event:
         )
 
 
-class EventHandle:
-    """Opaque handle returned by :meth:`Engine.schedule`; supports cancel."""
-
-    __slots__ = ("_event",)
-
-    def __init__(self, event: Event) -> None:
-        self._event = event
-
-    @property
-    def time(self) -> float:
-        """The virtual time the event is scheduled for."""
-        return self._event.time
-
-    @property
-    def label(self) -> str:
-        """The debug label the event was scheduled with."""
-        return self._event.label
-
-    @property
-    def priority(self) -> int:
-        """The priority band the event was scheduled in."""
-        return self._event.priority
-
-    @property
-    def sequence(self) -> int:
-        """The engine-assigned insertion sequence (tie-break identity)."""
-        return self._event.sequence
-
-    @property
-    def lane(self) -> str:
-        """The event lane this event is queued in."""
-        return self._event.lane
-
-    @property
-    def cancelled(self) -> bool:
-        """Whether the event has been cancelled."""
-        return self._event.cancelled
-
-    @property
-    def fired(self) -> bool:
-        """Whether the event has already fired."""
-        return self._event.fired
-
-    @property
-    def pending(self) -> bool:
-        """Whether the event is still waiting in the heap (not fired/cancelled)."""
-        return not (self._event.fired or self._event.cancelled)
-
-    def descriptor(self) -> dict:
-        """The ``(time, priority, sequence, label, lane)`` identity of this event.
-
-        Checkpoints store descriptors instead of handles; restore re-creates
-        the event with its *original* triple via
-        :meth:`~repro.sim.engine.Engine.restore_event`, so heap order — and
-        therefore replay — is preserved exactly.  The lane is carried so a
-        restored run rebuilds the same partitioning; descriptors written
-        before lanes existed restore into the default lane, which fires
-        identically (ordering is lane-independent).
-        """
-        return {
-            "time": self._event.time,
-            "priority": self._event.priority,
-            "sequence": self._event.sequence,
-            "label": self._event.label,
-            "lane": self._event.lane,
-        }
-
-    def cancel(self) -> None:
-        """Cancel the event; a no-op if it already fired or was cancelled."""
-        self._event.cancel()
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        state = "cancelled" if self.cancelled else "pending"
-        return f"EventHandle(t={self.time:.3f}, label={self.label!r}, {state})"
+#: What :meth:`~repro.sim.engine.Engine.schedule` returns: the event
+#: itself, which carries the whole handle surface (``cancel``, ``pending``,
+#: ``descriptor``, the identity fields).
+EventHandle = Event

@@ -143,3 +143,19 @@ class TestRetiredGAKernel:
 
         data = encode_config(table2_experiments(request_count=10)[2])
         assert encode_config(decode_config(data)) == data
+
+
+
+class TestConfigCodec:
+    """``decode_config`` refuses keys this build does not know, at any depth."""
+
+    @pytest.mark.parametrize("section", [None, "discovery"])
+    def test_unknown_key_refused(self, section):
+        from repro.checkpoint.snapshot import decode_config, encode_config
+        from repro.experiments.config import table2_experiments
+
+        data = encode_config(table2_experiments(request_count=10)[2])
+        target = data if section is None else data[section]
+        target["bogus_future_field"] = 1
+        with pytest.raises(CheckpointError, match="bogus_future_field"):
+            decode_config(data)

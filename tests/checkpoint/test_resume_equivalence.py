@@ -106,6 +106,35 @@ class TestStrictResume:
             resume(path, mode="strict")
 
 
+class TestRetiredConfigKeys:
+    def test_snapshot_with_engine_key_resumes_byte_identically(self, tmp_path):
+        # Format-v2 snapshots written while the event engine was selectable
+        # carry config["engine"]; the key is dropped on decode.
+        from repro.checkpoint.format import read_snapshot, write_snapshot
+
+        path = str(tmp_path / "snap.json")
+        message_module.set_message_counter(0)
+        tracer_full = Tracer()
+        full = run_experiment(strict_config(2003), tracer=tracer_full)
+
+        message_module.set_message_counter(0)
+        tracer_pre = Tracer()
+        Run(strict_config(2003), tracer=tracer_pre).snapshot_at(AT_STEP, path)
+        payload = read_snapshot(path)
+        payload["config"]["engine"] = "partitioned"
+        write_snapshot(path, payload)
+        tracer_post = Tracer()
+        resumed = resume(path, mode="strict", tracer=tracer_post)
+
+        assert_equivalent(
+            full,
+            resumed,
+            canonical_lines(tracer_full.records),
+            canonical_lines(tracer_pre.records)
+            + canonical_lines(tracer_post.records),
+        )
+
+
 def degraded_config() -> ExperimentConfig:
     return degradation_config(
         experiment4_base_config(request_count=20),

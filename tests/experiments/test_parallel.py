@@ -17,7 +17,6 @@ from repro.errors import ExperimentError
 from repro.experiments.ablations import base_config
 from repro.experiments.parallel import (
     ExperimentJob,
-    default_jobs,
     job_key,
     merge_cache_stats,
     run_many,
@@ -246,12 +245,6 @@ class TestSweepParallel:
 
 
 class TestHelpers:
-    def test_default_jobs_env_override(self, monkeypatch):
-        monkeypatch.setenv("REPRO_JOBS", "3")
-        assert default_jobs() == 3
-        monkeypatch.delenv("REPRO_JOBS")
-        assert default_jobs() >= 1
-
     def test_merge_cache_stats(self):
         class FakeResult:
             def __init__(self, stats):

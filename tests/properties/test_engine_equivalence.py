@@ -1,13 +1,15 @@
 """Partitioned-engine equivalence: lanes must never change firing order.
 
 The lane-partitioned :class:`~repro.sim.engine.Engine` is a pure
-performance refactor; :class:`~repro.sim.reference.SingleHeapEngine` is
-the seed implementation kept as the correctness oracle.  Two layers of
+performance refactor; :class:`~tests.oracles.engine_reference.SingleHeapEngine`
+is the seed implementation kept as the correctness oracle.  Two layers of
 evidence here:
 
 * **Paper-scale byte-identity** — the three Table-2 experiment configs run
   on both engines across five master seeds must agree on completion
-  records, metrics JSON, and the final RNG digest, byte for byte.
+  records, metrics JSON, and the final RNG digest, byte for byte.  The
+  oracle is put into ``build_grid`` by substituting it for
+  ``runner.Engine``.
 * **Hypothesis-driven run() equivalence** — random scripted workloads
   (same-instant cascades, cross-lane scheduling from callbacks, cancels,
   chunked ``run(max_events=...)`` that stops mid-cascade) must produce the
@@ -21,18 +23,22 @@ from __future__ import annotations
 
 import json
 import random
-from dataclasses import asdict, replace
+from dataclasses import asdict
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import repro.net.message as message_module
+from repro.experiments import runner
 from repro.experiments.config import table2_experiments
 from repro.experiments.runner import run_experiment
 from repro.sim.engine import Engine
 from repro.sim.events import DEFAULT_LANE, Priority
-from repro.sim.reference import SingleHeapEngine
+from tests.oracles.engine_reference import SingleHeapEngine
+
+#: The engine class ``build_grid`` instantiates, per compared engine.
+ENGINES = {"partitioned": Engine, "single-heap": SingleHeapEngine}
 
 SEEDS = (2003, 7, 41, 97, 1234)
 
@@ -59,14 +65,13 @@ class TestPaperScaleByteIdentity:
     """Table-2 configs agree byte-for-byte on both engines, five seeds."""
 
     @pytest.mark.parametrize("seed", SEEDS)
-    def test_table2_experiments_identical(self, seed):
+    def test_table2_experiments_identical(self, seed, monkeypatch):
         for config in table2_experiments(master_seed=seed, request_count=60):
             results = {}
             for engine in ("partitioned", "single-heap"):
+                monkeypatch.setattr(runner, "Engine", ENGINES[engine])
                 message_module.set_message_counter(0)
-                results[engine] = run_experiment(
-                    replace(config, engine=engine)
-                )
+                results[engine] = run_experiment(config)
             part, single = results["partitioned"], results["single-heap"]
             assert records_json(part) == records_json(single), config.name
             assert metrics_json(part.metrics) == metrics_json(single.metrics)

@@ -18,9 +18,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.scheduling.coding import SolutionString
-from repro.scheduling.fifo import earliest_free_allocation, exhaustive_allocation
+from repro.scheduling.fifo import earliest_free_allocation
 from repro.scheduling.ga import GAConfig, GAScheduler
 from repro.scheduling.schedule import build_schedule
+from tests.oracles.fifo_reference import exhaustive_allocation
 from tests.oracles.ga_reference import reference_cost
 
 

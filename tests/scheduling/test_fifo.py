@@ -6,11 +6,8 @@ import numpy as np
 import pytest
 
 from repro.errors import ScheduleError
-from repro.scheduling.fifo import (
-    FIFOScheduler,
-    earliest_free_allocation,
-    exhaustive_allocation,
-)
+from repro.scheduling.fifo import FIFOScheduler, earliest_free_allocation
+from tests.oracles.fifo_reference import exhaustive_allocation
 
 
 def table(durations: dict):
@@ -109,18 +106,19 @@ class TestFIFOScheduler:
         with pytest.raises(ScheduleError):
             FIFOScheduler(2).sync_availability([0.0])
 
-    def test_exhaustive_mode_matches_fast_mode(self):
+    def test_placements_match_exhaustive_oracle(self):
+        # The oracle searches the same floored bookings the scheduler sees
+        # and books its choice the same way.
         durations = {1: 9.0, 2: 5.0, 3: 4.0}
-        a = FIFOScheduler(3, exhaustive=True)
+        free = np.zeros(3)
         b = FIFOScheduler(3)
         for tid in range(4):
-            pa = a.place(tid, table(durations), now=float(tid))
+            pa = exhaustive_allocation(
+                np.maximum(free, float(tid)), table(durations)
+            )
+            free[list(pa.node_ids)] = pa.completion
             pb = b.place(tid, table(durations), now=float(tid))
             assert pa.completion == pb.completion
-
-    def test_exhaustive_large_n_rejected(self):
-        with pytest.raises(ScheduleError):
-            FIFOScheduler(30, exhaustive=True)
 
     def test_bookings_never_overlap_per_node(self):
         """Fixed placements occupy each node for disjoint intervals."""

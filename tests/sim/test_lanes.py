@@ -15,7 +15,7 @@ import pytest
 from repro.net.message import Endpoint, Message, MessageKind
 from repro.sim.engine import COMPACT_MIN, Engine, EngineLane
 from repro.sim.events import DEFAULT_LANE, Event, EventHandle, Priority
-from repro.sim.reference import SingleHeapEngine
+from tests.oracles.engine_reference import SingleHeapEngine
 
 
 class TestLaneRouting:
@@ -133,7 +133,8 @@ class TestViewStabilityAcrossResets:
         sim.restore_state(state)
         fired = []
         restored = view.restore_event(
-            {"time": 1.0, "priority": 50, "sequence": 0, "label": "re"},
+            {"time": 1.0, "priority": 50, "sequence": 0, "label": "re",
+             "lane": "sticky"},
             lambda: fired.append("re"),
         )
         assert restored.lane == "sticky"
@@ -155,7 +156,7 @@ class TestViewStabilityAcrossResets:
 class TestSlots:
     @pytest.mark.parametrize("obj", [
         Event(1.0, 50, 0, lambda: None),
-        EventHandle(Event(1.0, 50, 1, lambda: None)),
+        EventHandle(1.0, 50, 1, lambda: None),
         Message(MessageKind.REQUEST, Endpoint("a", 1), Endpoint("b", 2), None),
         Endpoint("a", 1),
     ], ids=["Event", "EventHandle", "Message", "Endpoint"])

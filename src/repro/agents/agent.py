@@ -189,6 +189,10 @@ class Agent:
         self._active = True
         # The global balancing strategy: routing entries delegate here.
         self._policy: GlobalPolicy = make_policy(global_policy, self)
+        # The Fig. 5 record.  Every field but freetime is fixed for the
+        # agent's life: it is built on first use and afterwards only
+        # re-issued (``with_freetime``) when the advertised freetime moves.
+        self._record: Optional[ServiceInfo] = None
         transport.register(endpoint, self._handle_message)
         scheduler.on_result(self._handle_local_completion)
 
@@ -363,16 +367,25 @@ class Agent:
     # ----------------------------------------------------------- advertising
 
     def service_info(self) -> ServiceInfo:
-        """This agent's *fresh* service record (Fig. 5)."""
-        scheduler = self._scheduler
-        return ServiceInfo(
-            agent_endpoint=self._endpoint,
-            scheduler_endpoint=Endpoint(self._endpoint.address, self._endpoint.port + 9000),
-            hardware_type=scheduler.resource.slowest_platform().name,
-            nproc=scheduler.resource.size,
-            environments=scheduler.environments,
-            freetime=scheduler.freetime(),
-        )
+        """This agent's *fresh* service record (Fig. 5).
+
+        The same frozen record is returned for as long as the scheduler's
+        freetime stays put.
+        """
+        freetime = self._scheduler.freetime()
+        record = self._record
+        if record is None:
+            endpoint, scheduler = self._endpoint, self._scheduler
+            record = ServiceInfo(
+                agent_endpoint=endpoint,
+                scheduler_endpoint=Endpoint(endpoint.address, endpoint.port + 9000),
+                hardware_type=scheduler.platform.name,
+                nproc=scheduler.resource.size,
+                environments=scheduler.environments,
+                freetime=freetime,
+            )
+        self._record = record = record.with_freetime(freetime)
+        return record
 
     def start(self) -> None:
         """Activate the advertisement strategy and the failure detector."""
@@ -689,6 +702,12 @@ class Agent:
             self._stats.reroutes += 1
         if self._resilience.enabled:
             request_id = envelope.request_id
+            superseded = self._pending_acks.get(request_id)
+            if superseded is not None:
+                # The request came back through this agent and is forwarded
+                # again: the earlier forward's timer must not fire, or it
+                # would time out (and retry) the new forward early.
+                superseded.handle.cancel()
             handle = self.sim.schedule_in(
                 self._backoff_delay(attempt),
                 lambda: self._on_ack_timeout(request_id),
@@ -871,7 +890,29 @@ class Agent:
     # --------------------------------------------------------------- messages
 
     def _handle_message(self, message: Message) -> None:
-        if message.kind is MessageKind.REQUEST:
+        # The pull/advertise exchange is nearly all of a grid's traffic,
+        # so its two kinds are tested first.
+        kind = message.kind
+        if kind is MessageKind.PULL:
+            self._stats.pulls_answered += 1
+            # Best-effort: under churn plus delivery delay the puller may
+            # have died (and unregistered) while its PULL was in flight.
+            self._send_best_effort(
+                Message(
+                    MessageKind.ADVERTISE,
+                    self._endpoint,
+                    message.sender,
+                    payload=self.service_info(),
+                )
+            )
+        elif kind is MessageKind.ADVERTISE:
+            info = message.payload
+            if not isinstance(info, ServiceInfo):
+                raise AgentError(f"bad ADVERTISE payload: {type(info).__name__}")
+            self._stats.advertisements_received += 1
+            self._registry[message.sender] = info
+            self._registry_time[message.sender] = self.sim.now
+        elif kind is MessageKind.REQUEST:
             envelope = message.payload
             if not isinstance(envelope, RequestEnvelope):
                 raise AgentError(f"bad REQUEST payload: {type(envelope).__name__}")
@@ -902,7 +943,7 @@ class Agent:
                     self._stats.duplicates_ignored += 1
                     return
             self._process_request(envelope, hops=message.hops)
-        elif message.kind is MessageKind.ACK:
+        elif kind is MessageKind.ACK:
             self._stats.acks_received += 1
             pending = self._pending_acks.get(message.payload)
             # Ignore a late ACK from a prior attempt's target: the pending
@@ -910,26 +951,7 @@ class Agent:
             if pending is not None and pending.target == message.sender:
                 pending.handle.cancel()
                 del self._pending_acks[message.payload]
-        elif message.kind is MessageKind.PULL:
-            self._stats.pulls_answered += 1
-            # Best-effort: under churn plus delivery delay the puller may
-            # have died (and unregistered) while its PULL was in flight.
-            self._send_best_effort(
-                Message(
-                    MessageKind.ADVERTISE,
-                    self._endpoint,
-                    message.sender,
-                    payload=self.service_info(),
-                )
-            )
-        elif message.kind is MessageKind.ADVERTISE:
-            info = message.payload
-            if not isinstance(info, ServiceInfo):
-                raise AgentError(f"bad ADVERTISE payload: {type(info).__name__}")
-            self._stats.advertisements_received += 1
-            self._registry[message.sender] = info
-            self._registry_time[message.sender] = self.sim.now
-        elif message.kind is MessageKind.TRANSFER:
+        elif kind is MessageKind.TRANSFER:
             payload = message.payload
             if not isinstance(payload, TransferPayload):
                 raise AgentError(
@@ -947,19 +969,19 @@ class Agent:
                     )
                 )
             self._scheduler.notify_input_arrived(payload.task_id, payload.parent)
-        elif message.kind is MessageKind.HEARTBEAT:
+        elif kind is MessageKind.HEARTBEAT:
             # Tolerated with membership off: a mixed-config neighbour may
             # still beacon; there is simply nothing to refresh here.
             if self._detector is not None:
                 self._detector.observe(message.sender)
             if self._healer is not None and isinstance(message.payload, KinInfo):
                 self._healer.on_heartbeat(message.sender, message.payload)
-        elif message.kind is MessageKind.ADOPT:
+        elif kind is MessageKind.ADOPT:
             if self._detector is not None:
                 self._detector.observe(message.sender)
             if self._healer is not None:
                 self._healer.handle_adopt(message.sender)
-        elif message.kind is MessageKind.ADOPTED:
+        elif kind is MessageKind.ADOPTED:
             if self._detector is not None:
                 self._detector.observe(message.sender)
             if self._healer is not None:
@@ -1144,10 +1166,9 @@ class Agent:
             decode_task_result,
         )
 
-        # Pre-membership snapshots carry no "held" key: nothing was held.
         self._held_results = [
             (decode_envelope(raw_env, applications), decode_task_result(raw_res))
-            for raw_env, raw_res in state.get("held", [])
+            for raw_env, raw_res in state["held"]
         ]
         self._registry = {
             decode_endpoint(ep): decode_service_info(info)
@@ -1178,14 +1199,9 @@ class Agent:
             )
             for raw in state["outcomes"]
         ]
-        # Pre-cap snapshots stored sorted (endpoint, rid, hops) triples
-        # with no timestamps; restore them at time zero, which with the
-        # default TTL-off policy behaves identically.
         self._seen_forwards = {
-            (decode_endpoint(entry[0]), int(entry[1]), int(entry[2])): (
-                float(entry[3]) if len(entry) > 3 else 0.0
-            )
-            for entry in state["seen_forwards"]
+            (decode_endpoint(ep), int(rid), int(hops)): float(t)
+            for ep, rid, hops, t in state["seen_forwards"]
         }
         for pending in self._pending_acks.values():
             pending.handle.cancel()
@@ -1204,10 +1220,7 @@ class Agent:
                 handle=handle,
             )
         self._advertisement.restore_state(state["advertisement"], self)
-        # Pre-policy snapshots carry no "policy" key: nothing was in flight.
-        self._policy.restore_state(
-            state.get("policy") or {}, applications=applications
-        )
+        self._policy.restore_state(state["policy"], applications=applications)
         member_state = state.get("membership")
         if (
             member_state is not None

@@ -4,7 +4,7 @@
 shared discrete-event engine and transport, one PACE evaluation engine (one
 shared cache, as §2.2 describes), a scheduler + executor + monitor + agent
 per resource, the Fig. 7 hierarchy, and a user portal.  :class:`Run` arms
-a seeded workload and the config's churn timers on it, steps the engine
+a seeded workload and the config's churn timers on it, runs the engine
 until its stop predicate holds, and reduces the outcome to the §3.3
 metrics.  Its ``mode`` fixes the two behaviours that change outputs:
 
@@ -409,7 +409,7 @@ class _SoakProgress:
 
 
 class _Snapshotted(Exception):
-    """Unwinds the step loop once an at-step snapshot is on disk."""
+    """Unwinds the run loop once an at-step snapshot is on disk."""
 
     def __init__(self, digest: str) -> None:
         super().__init__(digest)
@@ -417,7 +417,7 @@ class _Snapshotted(Exception):
 
 
 class Run:
-    """One seeded run of the grid, stepped until its stop predicate holds.
+    """One seeded run of the grid, run until its stop predicate holds.
 
     The run replays ``workload`` (default: the config's seeded §4.1
     workload) or ``workflows``: task-graph instances started through a
@@ -503,6 +503,48 @@ class Run:
             else None
         )
         self._done = self._stop_predicate()
+        system.portal.add_result_listener(self._halt_if_done)
+
+    @classmethod
+    def from_snapshot(
+        cls,
+        path: str,
+        *,
+        mode: Optional[str] = None,
+        tracer: Optional[Tracer] = None,
+        checkpoint_every: Optional[int] = None,
+        checkpoint_path: Optional[str] = None,
+    ) -> "Run":
+        """The run a snapshot froze, rewound and ready to :meth:`execute`.
+
+        The grid is rebuilt from the snapshot's own config and topology,
+        every component is rewound, and pending arrival and churn timers
+        are re-created with their original identities.  Given *mode*, a
+        snapshot of another mode is refused.
+        """
+        from repro.checkpoint.format import read_snapshot
+        from repro.checkpoint.snapshot import (
+            decode_config,
+            decode_topology,
+            decode_workload_item,
+        )
+
+        payload = read_snapshot(path)
+        found = payload.get("mode")
+        if payload.get("kind") != "run" or found not in MODES:
+            raise CheckpointError(f"snapshot {path!r} is not a run checkpoint")
+        if mode is not None and found != mode:
+            raise CheckpointError(f"snapshot is a {found!r} run checkpoint, not {mode!r}")
+        return cls(
+            decode_config(payload["config"]),
+            decode_topology(payload["topology"]),
+            mode=found,
+            workload=[decode_workload_item(raw) for raw in payload["workload"]],
+            tracer=tracer,
+            checkpoint_every=checkpoint_every,
+            checkpoint_path=checkpoint_path,
+            snapshot=payload,
+        )
 
     def _arm(self) -> None:
         system = self.system
@@ -622,6 +664,16 @@ class Run:
             portal.pending_count == 0 and len(started) >= count and coordinator.all_resolved
         )
 
+    def _halt_if_done(self, _result: Any) -> None:
+        """Portal result listener: halt the engine once the run is done.
+
+        Only a result can make the stop predicate true (every submission,
+        workflow starts included, adds a pending request), so a fused
+        engine chunk ends on exactly the event a per-event loop stops at.
+        """
+        if self._done():
+            self.system.sim.halt()
+
     def execute(self) -> ExperimentResult:
         """Drive the run to its end and reduce it to one result."""
         self._schedule_boundaries()
@@ -667,31 +719,28 @@ class Run:
         )
 
     def _advance(self, limit: Optional[float]) -> bool:
-        """Step until the stop predicate holds (True) or the phase ends (False).
+        """Run until the stop predicate holds (True) or the phase ends (False).
 
         With a *limit* the phase ends before the first event past it;
-        without one, when the queue drains.
+        without one, when the queue drains.  The engine runs in fused
+        chunks, each ending at the next hook boundary — the next due
+        event count, or the first event at or past a soak window's end —
+        or on the event that makes the stop predicate true (the engine is
+        halted by :meth:`_halt_if_done`).
         """
         sim = self.system.sim
-        step = sim.step
         done = self._done
-        timed = self.soak is not None
-        steps = self.steps
-        next_step, next_time = self._next_step, self._next_time
         while not done():
-            if limit is not None:
-                when = sim.next_event_time()
-                if when is None or when > limit:
-                    break
-                step()
-            elif not step():
-                break
-            steps += 1
-            if steps >= next_step or (timed and sim.now >= next_time):
-                self.steps = steps
+            fired = sim.run(
+                self._next_step - self.steps, until=limit, halt_at=self._next_time
+            )
+            self.steps += fired
+            if self.steps >= self._next_step or sim.now >= self._next_time:
                 self._boundary()
-                next_step, next_time = self._next_step, self._next_time
-        self.steps = steps
+                continue
+            when = sim.next_event_time()
+            if when is None or (limit is not None and when > limit):
+                break
         return done()
 
     def _schedule_boundaries(self) -> None:
@@ -824,35 +873,16 @@ def resume(
 ) -> ExperimentResult:
     """Continue the run a snapshot froze, to completion.
 
-    The grid is rebuilt from the snapshot's own config and topology, every
-    component is rewound, and pending arrival and churn timers are
-    re-created with their original identities: everything after the
-    snapshot instant — records, metrics, trace, soak windows, the final RNG
-    digest — is byte-identical to the uninterrupted run.  Given *mode*, a
-    snapshot of another mode is refused.
+    Everything after the snapshot instant — records, metrics, trace, soak
+    windows, the final RNG digest — is byte-identical to the uninterrupted
+    run (see :meth:`Run.from_snapshot`).
     """
-    from repro.checkpoint.format import read_snapshot
-    from repro.checkpoint.snapshot import (
-        decode_config,
-        decode_topology,
-        decode_workload_item,
-    )
-
-    payload = read_snapshot(path)
-    found = payload.get("mode")
-    if payload.get("kind") != "run" or found not in MODES:
-        raise CheckpointError(f"snapshot {path!r} is not a run checkpoint")
-    if mode is not None and found != mode:
-        raise CheckpointError(f"snapshot is a {found!r} run checkpoint, not {mode!r}")
-    return Run(
-        decode_config(payload["config"]),
-        decode_topology(payload["topology"]),
-        mode=found,
-        workload=[decode_workload_item(raw) for raw in payload["workload"]],
+    return Run.from_snapshot(
+        path,
+        mode=mode,
         tracer=tracer,
         checkpoint_every=checkpoint_every,
         checkpoint_path=checkpoint_path,
-        snapshot=payload,
     ).execute()
 
 

@@ -55,16 +55,31 @@ def set_message_counter(value: int) -> None:
 
 @dataclass(frozen=True, order=True, slots=True)
 class Endpoint:
-    """A network identity: the (address, port) tuple of Figs. 5–6."""
+    """A network identity: the (address, port) tuple of Figs. 5–6.
+
+    Endpoints key the transport's handler and lane tables, the fault plan
+    and every agent registry — about five hash lookups per message — so
+    the hash is computed once, at construction.  String hashes differ
+    between interpreter processes, so pickling (``run_many`` spawns its
+    workers) carries only the fields and the copy recomputes its hash.
+    """
 
     address: str
     port: int
+    _hash: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not self.address:
             raise TransportError("endpoint address must be non-empty")
         if not (0 < self.port < 65536):
             raise TransportError(f"endpoint port out of range: {self.port}")
+        object.__setattr__(self, "_hash", hash((self.address, self.port)))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self):
+        return (Endpoint, (self.address, self.port))
 
     def __str__(self) -> str:
         return f"{self.address}:{self.port}"

@@ -57,7 +57,9 @@ class ServiceInfo:
         return environment in self.environments
 
     def with_freetime(self, freetime: float) -> "ServiceInfo":
-        """A copy carrying an updated freetime estimate."""
+        """A copy carrying an updated freetime estimate (``self`` if unchanged)."""
+        if freetime == self.freetime:
+            return self
         return ServiceInfo(
             self.agent_endpoint,
             self.scheduler_endpoint,

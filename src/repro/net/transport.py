@@ -177,15 +177,6 @@ class Transport:
         """
         self._endpoint_lanes[endpoint] = lane
 
-    def _delivery_lane(self, message: Message) -> str:
-        lanes = self._endpoint_lanes
-        recipient_lane = lanes.get(message.recipient, DEFAULT_LANE)
-        if recipient_lane != DEFAULT_LANE and (
-            lanes.get(message.sender, DEFAULT_LANE) == recipient_lane
-        ):
-            return recipient_lane
-        return DEFAULT_LANE
-
     # ------------------------------------------------------------------- send
 
     def send(self, message: Message, *, extra_latency: float = 0.0) -> None:
@@ -206,10 +197,12 @@ class Transport:
         TransportError
             If the recipient endpoint is not registered at send time.
         """
-        check_non_negative(extra_latency, "extra_latency")
-        if message.recipient not in self._handlers:
+        if extra_latency:
+            check_non_negative(extra_latency, "extra_latency")
+        recipient = message.recipient
+        if recipient not in self._handlers:
             raise TransportError(
-                f"no endpoint registered at {message.recipient} "
+                f"no endpoint registered at {recipient} "
                 f"(message {message.kind.value} from {message.sender})"
             )
         self._sent += 1
@@ -234,12 +227,18 @@ class Transport:
                     self._tracer.emit(self._drop_record(message, verdict.reason))
                 return
             extra_latency += verdict.extra_latency
+        # A message stays in its cluster's lane only when both ends share
+        # it; everything else is cross-cluster traffic.
+        lanes = self._endpoint_lanes
+        lane = lanes.get(recipient, DEFAULT_LANE)
+        if lane != DEFAULT_LANE and lanes.get(message.sender) != lane:
+            lane = DEFAULT_LANE
         handle = self._sim.schedule_in(
             self._latency + extra_latency,
             partial(self._deliver, message),
             priority=Priority.DEFAULT,
             label=_DELIVER_LABELS[message.kind],
-            lane=self._delivery_lane(message),
+            lane=lane,
         )
         self._in_flight[message.message_id] = (message, handle)
 

@@ -51,6 +51,15 @@ class SchedulerServer:
         self._endpoint = endpoint
         self._reply_to: Dict[int, RequestEnvelope] = {}
         self._rejected = 0
+        # Static Fig. 5 fields, built once; only freetime is refreshed.
+        self._record = ServiceInfo(
+            agent_endpoint=endpoint,
+            scheduler_endpoint=endpoint,
+            hardware_type=scheduler.platform.name,
+            nproc=scheduler.resource.size,
+            environments=scheduler.environments,
+            freetime=0.0,
+        )
         transport.register(endpoint, self._handle_message)
         scheduler.on_result(self._handle_completion)
 
@@ -73,15 +82,8 @@ class SchedulerServer:
 
     def service_info(self) -> ServiceInfo:
         """The scheduler's Fig. 5 record, self-identified (no agent)."""
-        scheduler = self._scheduler
-        return ServiceInfo(
-            agent_endpoint=self._endpoint,
-            scheduler_endpoint=self._endpoint,
-            hardware_type=scheduler.resource.slowest_platform().name,
-            nproc=scheduler.resource.size,
-            environments=scheduler.environments,
-            freetime=scheduler.freetime(),
-        )
+        self._record = self._record.with_freetime(self._scheduler.freetime())
+        return self._record
 
     # --------------------------------------------------------------- messages
 

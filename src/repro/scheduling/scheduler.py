@@ -200,6 +200,16 @@ class LocalScheduler:
         # Incumbent-schedule per-node free times, refreshed at each
         # scheduling event; None = recompute on the next freetime() query.
         self._cached_node_free: Optional[np.ndarray] = None
+        # The advertised per-node free vector (before the max(·, now) clamp)
+        # and its makespan/min aggregate, cached under the pair (this
+        # scheduler's version, the executor's version).  The version is
+        # bumped wherever the vector's inputs change — static placement,
+        # GA re-evolution, cancellation, restore — so a PULL answered
+        # between scheduling events costs one comparison, not a rebuild.
+        self._version = 0
+        self._free_key: Optional[Tuple[int, int]] = None
+        self._free_vector = np.zeros(0)
+        self._free_bound = 0.0
         # task id -> pending static-launch event (checkpoint support).
         self._static_launch_handles: dict[int, "EventHandle"] = {}
         # Workflow gating state — all empty for independent-task runs, in
@@ -262,6 +272,11 @@ class LocalScheduler:
         return self._monitor
 
     @property
+    def platform(self):
+        """The platform every estimate is charged at: the slowest node's."""
+        return self._platform
+
+    @property
     def environments(self) -> Tuple[Environment, ...]:
         """Execution environments this resource supports."""
         return self._environments
@@ -321,14 +336,28 @@ class LocalScheduler:
         * ``"makespan"`` (paper, default) — latest per-node free time;
         * ``"mean"`` — average per-node free time (optimistic);
         * ``"min"`` — earliest per-node free time (most optimistic).
+
+        The per-node vector is cached under a version (see
+        :meth:`_node_free_vector`); the clamp to *now* is applied here, on
+        every read, so the cache never goes stale as the clock advances.
         """
+        free = self._node_free_vector()
         now = self._sim.now
-        per_node = np.maximum(self._freetime_per_node(), now)
         if self._freetime_mode == "mean":
-            return float(per_node.mean())
-        if self._freetime_mode == "min":
-            return float(per_node.min())
-        return float(per_node.max())
+            return float(np.maximum(free, now).mean())
+        return max(self._free_bound, now)
+
+    def _node_free_vector(self) -> np.ndarray:
+        """The cached :meth:`_freetime_per_node`, rebuilt on a version change."""
+        key = (self._version, self._executor.version)
+        if key != self._free_key:
+            free = self._freetime_per_node()
+            self._free_vector = free
+            self._free_bound = float(
+                free.min() if self._freetime_mode == "min" else free.max()
+            )
+            self._free_key = key
+        return self._free_vector
 
     def _freetime_per_node(self) -> np.ndarray:
         """Per-node booked-or-scheduled free times for the estimator."""
@@ -536,6 +565,7 @@ class LocalScheduler:
             lambda k: self._task_duration(task.task_id, k),
             self._sim.now,
         )
+        self._version += 1
         self._static_launch_handles[task.task_id] = self._sim.schedule(
             allocation.start,
             lambda: self._launch_static(task),
@@ -578,15 +608,16 @@ class LocalScheduler:
         assert self._ga is not None
         if self._queue.is_empty:
             self._cached_node_free = None
-            return
-        now = self._sim.now
-        free = self.effective_free_times()
-        self._ga.evolve(self._generations_per_event, free, now)
-        # Hand the same availability vector to dispatch: the GA retained
-        # its final cost vector for exactly this (free, now) key, so the
-        # dispatch-side best_solution reuses it instead of paying one
-        # more full eq.-(8) evaluation per scheduling event.
-        self._dispatch(free)
+        else:
+            now = self._sim.now
+            free = self.effective_free_times()
+            self._ga.evolve(self._generations_per_event, free, now)
+            # Hand the same availability vector to dispatch: the GA retained
+            # its final cost vector for exactly this (free, now) key, so the
+            # dispatch-side best_solution reuses it instead of paying one
+            # more full eq.-(8) evaluation per scheduling event.
+            self._dispatch(free)
+        self._version += 1
 
     def _dispatch(self, free: Optional[np.ndarray] = None) -> None:
         """Launch every incumbent-schedule entry whose start time is now.
@@ -697,6 +728,7 @@ class LocalScheduler:
         is reused at once.
         """
         self._forget_workflow_state(task_id)
+        self._version += 1
         if task_id in self._queue:
             task = self._queue.cancel(task_id)
             if self._policy.is_static:
@@ -867,6 +899,7 @@ class LocalScheduler:
         """
         from repro.checkpoint.codec import decode_task
 
+        self._version += 1
         self._all_tasks = [
             decode_task(raw, applications) for raw in state["tasks"]
         ]

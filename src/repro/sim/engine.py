@@ -46,6 +46,7 @@ Design notes
 from __future__ import annotations
 
 import heapq
+import math
 from heapq import heappop, heappush, heapreplace
 from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Tuple
 
@@ -126,6 +127,9 @@ class Engine:
         # same-instant dispatch cascade's index churn (publish + stale
         # discard per fire) into a single root refresh.
         self._firing_lane: Optional[str] = None
+        # Set by ``halt`` from inside a callback: the fused ``run`` loop
+        # returns once that callback does.
+        self._halted = False
 
     # ------------------------------------------------------------------ state
 
@@ -402,23 +406,50 @@ class Engine:
         finally:
             self._running = False
 
-    def run(self, max_events: Optional[int] = None) -> int:
-        """Fire events until the lanes drain (or *max_events* fire).
+    def halt(self) -> None:
+        """Make the running :meth:`run` return after the current event.
+
+        Called from inside an event callback (a driver's stop condition
+        just became true); the rest of that callback still runs.  Outside
+        ``run`` it has no effect: every ``run`` call starts un-halted.
+        """
+        self._halted = True
+
+    def run(
+        self,
+        max_events: Optional[int] = None,
+        *,
+        until: Optional[float] = None,
+        halt_at: Optional[float] = None,
+    ) -> int:
+        """Fire events until the lanes drain, or a bound stops the run.
+
+        The bounds, all optional:
+
+        * *max_events* — stop once this many events fired;
+        * *until* — never fire an event later than this time (the event
+          stays queued);
+        * *halt_at* — stop right after firing the first event at or past
+          this time;
+        * :meth:`halt` — called by a callback, stops after that event.
 
         Returns the number of events fired by this call.
 
         This is the fused hot loop: it replicates :meth:`step`'s
         settle → pop → fire cycle inline with everything in locals, which
-        is worth ~2x over calling ``step()`` per event (``step`` stays for
-        drivers that need per-event control, e.g. checkpoint loops).  The
+        is worth ~2x over calling ``step()`` per event; the bounds above
+        give drivers their stopping points without per-event control.  The
         ``lanes`` dict and ``index`` list aliases stay valid across
         callbacks — compaction mutates both containers in place, and
         ``reset``/``restore_state`` are reentrancy-guarded.
         """
         self._guard_reentrancy()
         self._running = True
+        self._halted = False
         fired = 0
         limit = -1 if max_events is None else max_events
+        until = math.inf if until is None else until
+        halt_at = math.inf if halt_at is None else halt_at
         lanes = self._lanes
         index = self._index
         tracer = self._tracer
@@ -433,6 +464,8 @@ class Engine:
         try:
             while fired != limit:
                 if carry_head is not None:
+                    if carry_head[0] > until:
+                        break  # the outer ``finally`` restores the root
                     head = carry_head
                     heap = carry_heap
                     carry_head = None
@@ -463,7 +496,7 @@ class Engine:
                             )
                         else:
                             heappop(index)
-                    if head is None:
+                    if head is None or head[0] > until:
                         break
                     # -- defer the index refresh until the callback has
                     # run, so a same-instant dispatch cascade into this
@@ -539,9 +572,11 @@ class Engine:
                         # discarded harmlessly later.
                         nxt = heap[0]
                         heappush(index, (nxt[0], nxt[1], nxt[2], lane_name))
+                if self._halted or head[0] >= halt_at:
+                    break
         finally:
             if carry_head is not None:
-                # Exited mid-cascade (event limit, or a callback raised):
+                # Exited mid-cascade (a bound, a halt, or a callback raised):
                 # the index root still holds the consumed entry.  Restore
                 # it to the lane's live head — the in-place write was
                 # proven <= both children when the carry was set, and

@@ -119,6 +119,9 @@ class ExecutionEngine:
         self._completion_listeners: List[Callable[[Task], None]] = []
         # task id -> its pending complete-task event (checkpoint support).
         self._completion_handles: Dict[int, EventHandle] = {}
+        # Bumped whenever a node's booking changes, so readers can cache
+        # anything derived from ``node_free_at`` under it.
+        self._version = 0
 
     # ------------------------------------------------------------------ state
 
@@ -151,6 +154,11 @@ class ExecutionEngine:
     def completed_tasks(self) -> List[Task]:
         """Tasks that have completed, in completion order."""
         return list(self._completed)
+
+    @property
+    def version(self) -> int:
+        """Changes whenever any node's booked free time may have changed."""
+        return self._version
 
     def node_free_at(self, node_id: int) -> float:
         """Virtual time node *node_id* finishes its current booking."""
@@ -197,6 +205,7 @@ class ExecutionEngine:
         completion = now + duration
         task.mark_running(now, tuple(node_ids), self._resource.name)
         self._running[task.task_id] = task
+        self._version += 1
         for nid in node_ids:
             self._node_free_at[nid] = completion
             self._busy_intervals.append(
@@ -255,6 +264,7 @@ class ExecutionEngine:
         task.mark_cancelled()
         assert task.allocated_nodes is not None
         allocated = set(task.allocated_nodes)
+        self._version += 1
         for nid in allocated:
             self._node_free_at[nid] = min(self._node_free_at[nid], now)
         self._busy_intervals = [
@@ -291,6 +301,7 @@ class ExecutionEngine:
 
     def restore_state(self, state: dict, tasks: Dict[int, Task]) -> None:
         """Rebuild bookings and re-create pending completion events."""
+        self._version += 1
         self._node_free_at = {
             int(nid): float(t) for nid, t in state["node_free_at"].items()
         }

@@ -187,6 +187,42 @@ class TestRetryAndReroute:
         assert a3.pending_ack_count == 0
         assert a3.stats.retries == 0
 
+    def test_forwarding_twice_leaves_one_live_timer(self, sim, rgrid, specs):
+        """A request that comes back through an agent and is forwarded again
+        supersedes the first forward's ack timer instead of orphaning it."""
+        a1 = rgrid.agents["A1"]
+        a2 = rgrid.agents["A2"].endpoint
+        # Black-hole the forwards so no ACK cancels either timer.
+        rgrid.install_faults(FaultPlanSpec(link_faults=(LinkFault("A1", "A2", 1.0),)))
+        envelope = RequestEnvelope(
+            request_id=4242,
+            request=TaskRequest(
+                application=specs["sweep3d"].model,
+                environment=Environment.TEST,
+                deadline=sim.now + 500,
+                submit_time=sim.now,
+            ),
+            reply_to=rgrid.portal.endpoint,
+        )
+        for hops in (0, 2):
+            assert a1.forward_request(envelope, hops, a2, exclude=frozenset(), attempt=0)
+
+        def live_timers():
+            return [
+                event
+                for heap in sim._lanes.values()
+                for *_, event in heap
+                if event.label == "ack-timeout-A1-4242" and not event.cancelled
+            ]
+
+        assert a1.pending_ack_count == 1
+        assert len(live_timers()) == 1
+        assert live_timers()[0] is a1._pending_acks[4242].handle
+        # The surviving timer belongs to the second forward: it fires once,
+        # and retries exactly once.
+        sim.run_until(sim.now + rgrid.resilience.timeout_for(0))
+        assert a1.stats.retries == 1
+
 
 class TestRegistryTTL:
     def test_stale_records_expire(self, sim, specs):

@@ -170,6 +170,41 @@ class TestDegradedResume:
         )
         assert full.counters == resumed.counters
 
+    def test_superseded_ack_timer_leaves_no_event_drift(self, tmp_path, monkeypatch):
+        """An agent that forwards one request twice keeps one ack timer.
+
+        The first forward's timer used to stay armed (and fire) without
+        being in the snapshot, so a run resumed between the two forwards
+        and that timer fired one event fewer than the uninterrupted run.
+        """
+        from repro.agents.agent import Agent
+        from repro.experiments.experiment4 import run_degraded
+
+        superseded = []
+        forward = Agent.forward_request
+
+        def counting(agent, envelope, *args, **kwargs):
+            if envelope.request_id in agent._pending_acks:
+                superseded.append(envelope.request_id)
+            return forward(agent, envelope, *args, **kwargs)
+
+        monkeypatch.setattr(Agent, "forward_request", counting)
+        config = degradation_config(
+            experiment4_base_config(master_seed=2004, request_count=40),
+            loss=0.2,
+            churn_rate=0.25,
+        )
+        path = str(tmp_path / "snap.json")
+        message_module.set_message_counter(0)
+        full = run_degraded(config)
+        assert superseded, "the cell no longer forwards a request twice"
+
+        message_module.set_message_counter(0)
+        checkpoint_degraded(config, at_step=300, path=path)
+        resumed = resume_degraded(path)
+        assert resumed.steps == full.steps
+        assert_equivalent(full, resumed, [], [])
+
 
 def healing_cell_config() -> ExperimentConfig:
     """An Experiment-5 cell: permanent coordinator churn + grey leaves."""

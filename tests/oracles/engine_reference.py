@@ -129,6 +129,7 @@ class SingleHeapEngine:
         self._running = False
         self._fired = 0
         self._pending = 0
+        self._halted = False
         self._tracer = tracer
 
     # ------------------------------------------------------------------ state
@@ -310,15 +311,33 @@ class SingleHeapEngine:
         finally:
             self._running = False
 
-    def run(self, max_events: Optional[int] = None) -> int:
-        """Fire events until the queue drains (or *max_events* fire)."""
+    def halt(self) -> None:
+        """Make the running :meth:`run` return after the current event."""
+        self._halted = True
+
+    def run(
+        self,
+        max_events: Optional[int] = None,
+        *,
+        until: Optional[float] = None,
+        halt_at: Optional[float] = None,
+    ) -> int:
+        """Fire events one :meth:`step` at a time until the queue drains or
+        a bound stops the run — the same bounds as the partitioned engine:
+        *max_events*, no event later than *until*, stop right after the
+        first event at or past *halt_at*, or :meth:`halt` from a callback."""
         self._guard_reentrancy()
         self._running = True
+        self._halted = False
         fired = 0
         try:
-            while self.step():
+            while max_events is None or fired < max_events:
+                head = self._peek()
+                if head is None or (until is not None and head.time > until):
+                    break
+                self.step()
                 fired += 1
-                if max_events is not None and fired >= max_events:
+                if self._halted or (halt_at is not None and self._now >= halt_at):
                     break
         finally:
             self._running = False

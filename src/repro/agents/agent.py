@@ -147,6 +147,7 @@ class Agent:
         self._tracer = tracer
         self._endpoint = endpoint
         self._scheduler = scheduler
+        self._sim = scheduler.sim
         self._transport = transport
         self._catalogue = catalogue
         self._discovery_config = discovery_config
@@ -158,6 +159,13 @@ class Agent:
         self._advertisement = advertisement or NoAdvertisement()
         self._parent: Optional["Agent"] = None
         self._children: List["Agent"] = []
+        # The liveness-plane cache, dropped by _links_changed() at every
+        # link mutation: the neighbour endpoints membership traffic is
+        # tested against, and the next-of-kin gossip child-bound
+        # heartbeats carry.  One attribute holds both: an agent has 29
+        # instance attributes, the most CPython 3.11 keeps in a shared-key
+        # dict, and a 30th grows every agent's dict from 296 B to 1.6 KB.
+        self._liveness: Optional[Tuple[FrozenSet[Endpoint], KinInfo]] = None
         self._registry: Dict[Endpoint, ServiceInfo] = {}
         self._registry_time: Dict[Endpoint, float] = {}
         self._reply_to: Dict[int, RequestEnvelope] = {}  # task id -> envelope
@@ -177,7 +185,6 @@ class Agent:
         # Dedicated RNG stream for backoff jitter; None when jitter is off
         # (the stream's very existence would perturb the rng digest).
         self._jitter_rng = jitter_rng
-        self._membership = membership
         self._detector = (
             FailureDetector(self, membership) if membership.enabled else None
         )
@@ -216,7 +223,7 @@ class Agent:
     @property
     def sim(self):
         """The shared discrete-event engine."""
-        return self._scheduler.sim
+        return self._sim
 
     @property
     def parent(self) -> Optional["Agent"]:
@@ -250,8 +257,8 @@ class Agent:
 
     @property
     def membership(self) -> MembershipConfig:
-        """The membership policy this agent runs."""
-        return self._membership
+        """The membership policy this agent runs (the default when off)."""
+        return MembershipConfig() if self._detector is None else self._detector.config
 
     @property
     def detector(self) -> Optional[FailureDetector]:
@@ -295,6 +302,34 @@ class Agent:
             result.append(self._parent)
         return result
 
+    def neighbour_endpoints(self) -> FrozenSet[Endpoint]:
+        """The endpoints of :meth:`neighbours` (cached until a link moves)."""
+        return (self._liveness or self._cache_liveness())[0]
+
+    def kin_info(self) -> KinInfo:
+        """The next-of-kin gossip of child-bound heartbeats (cached).
+
+        This agent's parent (the child's grandparent) and its children in
+        canonical order (the child's siblings, eldest first).
+        """
+        return (self._liveness or self._cache_liveness())[1]
+
+    def _cache_liveness(self) -> Tuple[FrozenSet[Endpoint], KinInfo]:
+        parent = self._parent
+        self._liveness = liveness = (
+            frozenset(n.endpoint for n in self.neighbours()),
+            KinInfo(
+                parent=self._name,
+                grandparent=None if parent is None else (parent.name, parent.endpoint),
+                siblings=tuple((c.name, c.endpoint) for c in self._children),
+            ),
+        )
+        return liveness
+
+    def _links_changed(self) -> None:
+        """Drop the liveness cache; every parent/children write calls this."""
+        self._liveness = None
+
     def _peer_name(self, endpoint: Optional[Endpoint]) -> Optional[str]:
         """A neighbour's agent name for trace records (endpoint otherwise)."""
         if endpoint is None:
@@ -316,11 +351,17 @@ class Agent:
 
     def _set_parent(self, parent: Optional["Agent"]) -> None:
         self._parent = parent
+        self._links_changed()
 
     def _add_child(self, child: "Agent") -> None:
         if child is self:
             raise AgentError(f"agent {self._name!r} cannot be its own child")
         self._children.append(child)
+        self._links_changed()
+
+    def _remove_child(self, child: "Agent") -> None:
+        self._children.remove(child)
+        self._links_changed()
 
     def bind_directory(self, directory: Mapping[Endpoint, "Agent"]) -> None:
         """Install the grid-wide endpoint→agent directory (healing support)."""
@@ -338,6 +379,7 @@ class Agent:
     def _attach_parent(self, parent: Optional["Agent"]) -> None:
         """Re-parent (healing): set the upper link and refresh its lease."""
         self._parent = parent
+        self._links_changed()
         if parent is not None and self._detector is not None:
             self._detector.observe(parent.endpoint)
 
@@ -346,6 +388,7 @@ class Agent:
         if child is self:
             raise AgentError(f"agent {self._name!r} cannot adopt itself")
         self._children.append(child)
+        self._links_changed()
         if self._detector is not None:
             self._detector.observe(child.endpoint)
 
@@ -359,10 +402,12 @@ class Agent:
         self._registry_time.pop(peer.endpoint, None)
         if peer is self._parent:
             self._parent = None
+            self._links_changed()
             if self._healer is not None:
                 self._healer.on_parent_dead(peer)
         else:
             self._children = [c for c in self._children if c is not peer]
+            self._links_changed()
 
     # ----------------------------------------------------------- advertising
 
@@ -440,7 +485,7 @@ class Agent:
         if self._tracer is not None:
             self._tracer.emit(
                 AgentDown(
-                    t=self.sim.now,
+                    t=self._sim.now,
                     agent=self._name,
                     endpoint=str(self._endpoint),
                 )
@@ -467,7 +512,7 @@ class Agent:
         if self._tracer is not None:
             self._tracer.emit(
                 AgentUp(
-                    t=self.sim.now,
+                    t=self._sim.now,
                     agent=self._name,
                     endpoint=str(self._endpoint),
                 )
@@ -551,21 +596,12 @@ class Agent:
     def send_heartbeats(self) -> int:
         """Beacon every neighbour (detector tick hook); returns sends begun.
 
-        Child-bound heartbeats carry the next-of-kin gossip self-healing
-        runs on: this agent's parent (the child's grandparent) and its
-        children in canonical order (the child's siblings, eldest first).
+        Child-bound heartbeats carry :meth:`kin_info`, the next-of-kin
+        gossip self-healing runs on.
         """
         sent = 0
         if self._children:
-            kin = KinInfo(
-                parent=self._name,
-                grandparent=(
-                    None
-                    if self._parent is None
-                    else (self._parent.name, self._parent.endpoint)
-                ),
-                siblings=tuple((c.name, c.endpoint) for c in self._children),
-            )
+            kin = self.kin_info()
             for child in self._children:
                 if self.send_membership(MessageKind.HEARTBEAT, child.endpoint, kin):
                     sent += 1
@@ -708,7 +744,7 @@ class Agent:
                 # again: the earlier forward's timer must not fire, or it
                 # would time out (and retry) the new forward early.
                 superseded.handle.cancel()
-            handle = self.sim.schedule_in(
+            handle = self._sim.schedule_in(
                 self._backoff_delay(attempt),
                 lambda: self._on_ack_timeout(request_id),
                 priority=Priority.MONITORING,
@@ -751,7 +787,7 @@ class Agent:
             if self._tracer is not None:
                 self._tracer.emit(
                     ForwardGiveUp(
-                        t=self.sim.now,
+                        t=self._sim.now,
                         agent=self._name,
                         request_id=request_id,
                     )
@@ -762,7 +798,7 @@ class Agent:
         if self._tracer is not None:
             self._tracer.emit(
                 ForwardRetry(
-                    t=self.sim.now,
+                    t=self._sim.now,
                     agent=self._name,
                     request_id=request_id,
                     attempt=next_attempt,
@@ -788,7 +824,7 @@ class Agent:
                 self.service_info(),
                 self._evaluator,
                 self._catalogue,
-                self.sim.now,
+                self._sim.now,
             )
         if local_match.supported:
             self._submit_locally(envelope)
@@ -818,7 +854,7 @@ class Agent:
         if self._tracer is not None:
             self._tracer.emit(
                 LocalSubmit(
-                    t=self.sim.now,
+                    t=self._sim.now,
                     agent=self._name,
                     request_id=envelope.request_id,
                     task_id=task.task_id,
@@ -863,7 +899,7 @@ class Agent:
         binding = request.workflow
         assert binding is not None
         own = self._scheduler.resource.name
-        now = self.sim.now
+        now = self._sim.now
         latency = self._transport.latency
         for parent_node, source, size in binding.inputs:
             if not source or source == own:
@@ -890,10 +926,17 @@ class Agent:
     # --------------------------------------------------------------- messages
 
     def _handle_message(self, message: Message) -> None:
-        # The pull/advertise exchange is nearly all of a grid's traffic,
-        # so its two kinds are tested first.
+        # Heartbeats, then the pull/advertise exchange, are nearly all of
+        # a grid's traffic, so those three kinds are tested first.
         kind = message.kind
-        if kind is MessageKind.PULL:
+        if kind is MessageKind.HEARTBEAT:
+            # Tolerated with membership off: a mixed-config neighbour may
+            # still beacon; there is simply nothing to refresh here.
+            if self._detector is not None:
+                self._detector.observe(message.sender)
+            if self._healer is not None and isinstance(message.payload, KinInfo):
+                self._healer.on_heartbeat(message.sender, message.payload)
+        elif kind is MessageKind.PULL:
             self._stats.pulls_answered += 1
             # Best-effort: under churn plus delivery delay the puller may
             # have died (and unregistered) while its PULL was in flight.
@@ -911,7 +954,7 @@ class Agent:
                 raise AgentError(f"bad ADVERTISE payload: {type(info).__name__}")
             self._stats.advertisements_received += 1
             self._registry[message.sender] = info
-            self._registry_time[message.sender] = self.sim.now
+            self._registry_time[message.sender] = self._sim.now
         elif kind is MessageKind.REQUEST:
             envelope = message.payload
             if not isinstance(envelope, RequestEnvelope):
@@ -925,7 +968,7 @@ class Agent:
                 if self._tracer is not None:
                     self._tracer.emit(
                         AckSent(
-                            t=self.sim.now,
+                            t=self._sim.now,
                             agent=self._name,
                             request_id=envelope.request_id,
                             duplicate=duplicate,
@@ -960,7 +1003,7 @@ class Agent:
             if self._tracer is not None:
                 self._tracer.emit(
                     DagTransfer(
-                        t=self.sim.now,
+                        t=self._sim.now,
                         agent=self._name,
                         workflow=payload.workflow_id,
                         node=payload.node,
@@ -969,13 +1012,6 @@ class Agent:
                     )
                 )
             self._scheduler.notify_input_arrived(payload.task_id, payload.parent)
-        elif kind is MessageKind.HEARTBEAT:
-            # Tolerated with membership off: a mixed-config neighbour may
-            # still beacon; there is simply nothing to refresh here.
-            if self._detector is not None:
-                self._detector.observe(message.sender)
-            if self._healer is not None and isinstance(message.payload, KinInfo):
-                self._healer.on_heartbeat(message.sender, message.payload)
         elif kind is MessageKind.ADOPT:
             if self._detector is not None:
                 self._detector.observe(message.sender)
@@ -1005,7 +1041,7 @@ class Agent:
         and the cap unreached this is byte-identical to the unbounded set
         it replaces.
         """
-        now = self.sim.now
+        now = self._sim.now
         ttl = self._resilience.dedup_ttl
         if ttl is not None:
             while self._seen_forwards:
@@ -1042,7 +1078,7 @@ class Agent:
             deadline=task.deadline,
             trace=envelope.trace,
         )
-        if not self._active and self._membership.enabled:
+        if not self._active and self._detector is not None:
             # The cluster kept computing, but the fronting process is dead:
             # nothing can transmit until a restart.  Held results flush in
             # reactivate(); a permanently dead agent never delivers them,
@@ -1208,7 +1244,7 @@ class Agent:
         self._pending_acks = {}
         for rid, raw in state["pending_acks"].items():
             request_id = int(rid)
-            handle = self.sim.restore_event(
+            handle = self._sim.restore_event(
                 raw["event"], lambda r=request_id: self._on_ack_timeout(r)
             )
             self._pending_acks[request_id] = _PendingForward(
@@ -1238,6 +1274,7 @@ class Agent:
             self._children = [
                 directory[decode_endpoint(ep)] for ep in member_state["children"]
             ]
+            self._links_changed()
             self._detector.restore_state(member_state["detector"])
             self._healer.restore_state(member_state["healer"])
         was_active = bool(state["active"])

@@ -112,7 +112,7 @@ class Hierarchy:
             cursor = cursor.parent
         old_parent = child.parent
         assert old_parent is not None  # only the head has no parent
-        old_parent._children.remove(child)  # noqa: SLF001 - wiring
+        old_parent._remove_child(child)  # noqa: SLF001 - wiring
         new_parent._add_child(child)  # noqa: SLF001 - wiring
         child._set_parent(new_parent)  # noqa: SLF001 - wiring
 

@@ -197,19 +197,21 @@ class FailureDetector:
         ``alive`` (clearing its quarantine).  Senders that are not current
         neighbours are ignored — their lease would never be swept.
         """
-        if not any(n.endpoint == sender for n in self._agent.neighbours()):
+        agent = self._agent
+        if sender not in agent.neighbour_endpoints():
             return
-        self._last_seen[sender] = self._agent.sim.now
+        now = agent.sim.now
+        self._last_seen[sender] = now
         if self._state.get(sender) == SUSPECTED:
             del self._state[sender]
             self.stats.recoveries += 1
-            tracer = self._agent.tracer
+            tracer = agent.tracer
             if tracer is not None:
                 tracer.emit(
                     MemberAlive(
-                        t=self._agent.sim.now,
-                        agent=self._agent.name,
-                        peer=self._agent.peer_name(sender),
+                        t=now,
+                        agent=agent.name,
+                        peer=agent.peer_name(sender),
                     )
                 )
 

@@ -553,9 +553,10 @@ def _cmd_scenario(args) -> int:
         from repro.experiments.tournament import report
         from repro.obs import check_trace
 
+        records = tracer.records
         return report(
-            check_trace(tracer.records),
-            f"all trace invariants hold ({len(tracer.records)} records checked)",
+            check_trace(records),
+            f"all trace invariants hold ({len(records)} records checked)",
         )
     return 0
 

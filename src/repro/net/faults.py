@@ -270,8 +270,11 @@ class FaultVerdict:
     reason: str = ""
 
 
-# The shared "nothing happens" verdict — the overwhelmingly common case.
+# The shared verdicts: "nothing happens" (the overwhelmingly common case)
+# and the two drops, which carry nothing per message.
 _DELIVER = FaultVerdict(drop=False)
+_LOSS = FaultVerdict(drop=True, reason="loss")
+_PARTITION = FaultVerdict(drop=True, reason="partition")
 
 
 class FaultPlan:
@@ -308,6 +311,8 @@ class FaultPlan:
             raise ValidationError("stochastic fault plans require an rng")
         self._spec = spec
         self._rng = rng
+        self._drop_probability = spec.drop_probability
+        self._latency_jitter = spec.latency_jitter
         names = dict(endpoints or {})
         self._link_drop: Dict[Tuple[Endpoint, Endpoint], float] = {}
         for fault in spec.link_faults:
@@ -367,7 +372,8 @@ class FaultPlan:
 
         Partition checks run first and consume no randomness; a chance
         drop and jitter draw happen only when their parameters are
-        positive, preserving byte-identity for zero plans.
+        positive, preserving byte-identity for zero plans.  At most three
+        draws per message, always in the order loss, straggler, jitter.
         """
         sender, recipient = message.sender, message.recipient
         for start, end, group_a, group_b in self._partitions:
@@ -376,30 +382,30 @@ class FaultPlan:
                 or (sender in group_b and recipient in group_a)
             ):
                 self.dropped_by_partition += 1
-                return FaultVerdict(drop=True, reason="partition")
-        probability = self._link_drop.get(
-            (sender, recipient), self._spec.drop_probability
+                return _PARTITION
+        probability = (
+            self._link_drop.get((sender, recipient), self._drop_probability)
+            if self._link_drop
+            else self._drop_probability
         )
-        if probability > 0.0:
-            assert self._rng is not None
-            if self._rng.random() < probability:
-                self.dropped_by_chance += 1
-                return FaultVerdict(drop=True, reason="loss")
+        rng = self._rng
+        if probability > 0.0 and rng.random() < probability:
+            self.dropped_by_chance += 1
+            return _LOSS
         extra = 0.0
-        reasons: List[str] = []
+        reason = ""
         delay = self._straggler_delay.get(sender, 0.0)
         if delay > 0.0:
-            assert self._rng is not None
-            extra += float(self._rng.uniform(0.5, 1.5)) * delay
+            extra += float(rng.uniform(0.5, 1.5)) * delay
             self.straggled += 1
-            reasons.append("straggler")
-        if self._spec.latency_jitter > 0.0:
-            assert self._rng is not None
-            extra += float(self._rng.uniform(0.0, self._spec.latency_jitter))
+            reason = "straggler"
+        jitter = self._latency_jitter
+        if jitter > 0.0:
+            extra += float(rng.uniform(0.0, jitter))
             self.jittered += 1
-            reasons.append("jitter")
+            reason = "straggler+jitter" if reason else "jitter"
         if extra > 0.0:
-            return FaultVerdict(drop=False, extra_latency=extra, reason="+".join(reasons))
+            return FaultVerdict(drop=False, extra_latency=extra, reason=reason)
         return _DELIVER
 
 

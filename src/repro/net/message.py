@@ -59,14 +59,17 @@ class Endpoint:
 
     Endpoints key the transport's handler and lane tables, the fault plan
     and every agent registry — about five hash lookups per message — so
-    the hash is computed once, at construction.  String hashes differ
-    between interpreter processes, so pickling (``run_many`` spawns its
-    workers) carries only the fields and the copy recomputes its hash.
+    the hash is computed once, at construction, and so is the
+    ``address:port`` string every traced message carries twice.  String
+    hashes differ between interpreter processes, so pickling (``run_many``
+    spawns its workers) carries only the fields and the copy recomputes
+    both.
     """
 
     address: str
     port: int
     _hash: int = field(init=False, repr=False, compare=False)
+    _str: str = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not self.address:
@@ -74,6 +77,7 @@ class Endpoint:
         if not (0 < self.port < 65536):
             raise TransportError(f"endpoint port out of range: {self.port}")
         object.__setattr__(self, "_hash", hash((self.address, self.port)))
+        object.__setattr__(self, "_str", f"{self.address}:{self.port}")
 
     def __hash__(self) -> int:
         return self._hash
@@ -82,7 +86,7 @@ class Endpoint:
         return (Endpoint, (self.address, self.port))
 
     def __str__(self) -> str:
-        return f"{self.address}:{self.port}"
+        return self._str
 
 
 class MessageKind(enum.Enum):

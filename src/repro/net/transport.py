@@ -40,9 +40,12 @@ DEFAULT_DROP_RING_SIZE = 32
 # measurable churn at scaled-grid message volumes (see ``bench_alloc``).
 # The id adds nothing: delivery events already close over their Message,
 # and the labels are observational only (``sim.event`` records are
-# non-canonical, so the format is free to change).
-_DELIVER_LABELS: Dict[MessageKind, str] = {
-    kind: f"deliver-{kind.value}" for kind in MessageKind
+# non-canonical, so the format is free to change).  Keyed by the kind's
+# value string, read as the plain ``_value_`` attribute: the per-message
+# lookup then hashes a ``str`` instead of calling the Python-level
+# ``Enum.__hash__`` and the ``Enum.value`` property.
+_DELIVER_LABELS: Dict[str, str] = {
+    kind.value: f"deliver-{kind.value}" for kind in MessageKind
 }
 
 
@@ -206,15 +209,15 @@ class Transport:
                 f"(message {message.kind.value} from {message.sender})"
             )
         self._sent += 1
+        kind = message.kind._value_
         if self._tracer is not None:
-            self._tracer.emit(
-                MessageSent(
-                    t=self._sim.now,
-                    msg=message.kind.value,
-                    sender=str(message.sender),
-                    recipient=str(message.recipient),
-                    hops=message.hops,
-                )
+            self._tracer.emit_row(
+                MessageSent,
+                self._sim.now,
+                kind,
+                str(message.sender),
+                str(recipient),
+                message.hops,
             )
         if self._fault_plan is not None:
             verdict = self._fault_plan.on_send(message, self._sim.now)
@@ -237,7 +240,7 @@ class Transport:
             self._latency + extra_latency,
             partial(self._deliver, message),
             priority=Priority.DEFAULT,
-            label=_DELIVER_LABELS[message.kind],
+            label=_DELIVER_LABELS[kind],
             lane=lane,
         )
         self._in_flight[message.message_id] = (message, handle)
@@ -253,14 +256,13 @@ class Transport:
             return
         self._delivered += 1
         if self._tracer is not None:
-            self._tracer.emit(
-                MessageDelivered(
-                    t=self._sim.now,
-                    msg=message.kind.value,
-                    sender=str(message.sender),
-                    recipient=str(message.recipient),
-                    hops=message.hops,
-                )
+            self._tracer.emit_row(
+                MessageDelivered,
+                self._sim.now,
+                message.kind._value_,
+                str(message.sender),
+                str(message.recipient),
+                message.hops,
             )
         for tap in self._taps:
             tap(message)
@@ -308,6 +310,7 @@ class Transport:
                 "dropped_by_chance": self._fault_plan.dropped_by_chance,
                 "dropped_by_partition": self._fault_plan.dropped_by_partition,
                 "jittered": self._fault_plan.jittered,
+                "straggled": self._fault_plan.straggled,
             }
         return state
 
@@ -344,6 +347,7 @@ class Transport:
                 plan_state["dropped_by_partition"]
             )
             self._fault_plan.jittered = int(plan_state["jittered"])
+            self._fault_plan.straggled = int(plan_state["straggled"])
 
     # ------------------------------------------------------------------ reset
 

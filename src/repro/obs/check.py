@@ -15,8 +15,9 @@ the CLI can render every problem at once.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from repro.obs.records import (
     AckSent,
@@ -28,10 +29,14 @@ from repro.obs.records import (
     DagRelease,
     DagTransfer,
     DiscoveryEvaluated,
+    EventFired,
     EvolveStep,
+    LocalSubmit,
     MemberAlive,
     MemberDead,
     MemberSuspected,
+    MessageDelivered,
+    MessageDropped,
     MessageSent,
     PortalResult,
     ReservationBooked,
@@ -46,6 +51,9 @@ __all__ = ["RULES", "Violation", "check_trace", "rule_table"]
 
 #: Slack for float comparisons between schedule times and event times.
 _EPS = 1e-9
+
+#: Kinds only ``clock-monotone`` reads: the bulk of every trace.
+_CLOCK_ONLY = frozenset({EventFired, MessageDelivered, MessageDropped})
 
 
 #: Every rule :func:`check_trace` enforces, name → what it proves.
@@ -130,10 +138,14 @@ class Violation:
 
 
 def check_trace(records: Sequence[TraceRecord]) -> List[Violation]:
-    """All invariant violations in *records*, in record order."""
+    """All invariant violations in *records*, in record order.
+
+    One pass: each record's class is read once and picks its rule's
+    branch; the kinds no rule but ``clock-monotone`` reads stop there.
+    """
     violations: List[Violation] = []
 
-    last_t: Optional[float] = None
+    last_t = -math.inf
     queued_at: Dict[Tuple[str, int], float] = {}
     down_since: Dict[str, int] = {}  # endpoint -> index of its agent.down
     # request_id -> (index of its last ACK, the ACKing agent's name)
@@ -159,21 +171,38 @@ def check_trace(records: Sequence[TraceRecord]) -> List[Violation]:
     last_transfer: Dict[Tuple[int, str], float] = {}
     # dispatches with no prior dag.ready, joined post-pass via agent.local
     unready_dispatches: List[Tuple[int, TaskDispatched]] = []
+    # (agent, task_id) -> request id, from agent.local
+    local_by_task: Dict[Tuple[str, int], int] = {}
 
     def flag(rule: str, record: TraceRecord, index: int, message: str) -> None:
         violations.append(Violation(rule, record.t, index, message))
 
     for index, record in enumerate(records):
-        if last_t is not None and record.t < last_t - _EPS:
+        t = record.t
+        if t < last_t - _EPS:
             flag(
                 "clock-monotone", record, index,
-                f"{record.kind} at t={record.t} after t={last_t}",
+                f"{record.kind} at t={t} after t={last_t}",
             )
-        last_t = max(record.t, last_t) if last_t is not None else record.t
+        if not last_t > t:  # last_t = max(t, last_t)
+            last_t = t
 
-        if isinstance(record, TaskQueued):
+        cls = record.__class__
+        if cls in _CLOCK_ONLY:
+            continue
+        if cls is MessageSent:
+            since = down_since.get(record.sender)
+            if since is not None:
+                flag(
+                    "send-after-down", record, index,
+                    f"{record.msg} sent from {record.sender} which went "
+                    f"down at record #{since}",
+                )
+        elif cls is TaskQueued:
             queued_at.setdefault((record.resource, record.task_id), record.t)
-        elif isinstance(record, TaskDispatched):
+        elif cls is LocalSubmit:
+            local_by_task[(record.agent, record.task_id)] = record.request_id
+        elif cls is TaskDispatched:
             key = (record.resource, record.task_id)
             arrival = queued_at.get(key)
             if arrival is None:
@@ -209,9 +238,9 @@ def check_trace(records: Sequence[TraceRecord]) -> List[Violation]:
                         f"{record.start} before its last input arrived at "
                         f"{arrived}",
                     )
-        elif isinstance(record, DagRelease):
+        elif cls is DagRelease:
             workflow_requests.add(record.request_id)
-        elif isinstance(record, DagTransfer):
+        elif cls is DagTransfer:
             node_key = (record.workflow, record.node)
             if node_key in ready_by_node:
                 flag(
@@ -224,7 +253,7 @@ def check_trace(records: Sequence[TraceRecord]) -> List[Violation]:
             last_transfer[node_key] = (
                 record.t if prior is None else max(prior, record.t)
             )
-        elif isinstance(record, DagReady):
+        elif cls is DagReady:
             node_key = (record.workflow, record.node)
             if node_key in ready_by_node:
                 flag(
@@ -238,32 +267,24 @@ def check_trace(records: Sequence[TraceRecord]) -> List[Violation]:
             ready_by_task[(record.resource, record.task_id)] = (
                 record.t, record.workflow, record.node,
             )
-        elif isinstance(record, TaskCompleted):
+        elif cls is TaskCompleted:
             completed_requests[(record.resource, record.task_id)] = True
-        elif isinstance(record, AgentDown):
+        elif cls is AgentDown:
             down_since[record.endpoint] = index
             downs_by_agent.setdefault(record.agent, []).append(index)
-        elif isinstance(record, AgentUp):
+        elif cls is AgentUp:
             down_since.pop(record.endpoint, None)
-        elif isinstance(record, MessageSent):
-            since = down_since.get(record.sender)
-            if since is not None:
-                flag(
-                    "send-after-down", record, index,
-                    f"{record.msg} sent from {record.sender} which went "
-                    f"down at record #{since}",
-                )
-        elif isinstance(record, MemberSuspected):
+        elif cls is MemberSuspected:
             suspected_by.setdefault(record.agent, set()).add(record.peer)
-        elif isinstance(record, (MemberAlive, MemberDead)):
+        elif cls is MemberAlive or cls is MemberDead:
             suspected_by.get(record.agent, set()).discard(record.peer)
-            if isinstance(record, MemberDead):
+            if cls is MemberDead:
                 for rid, (_, booker, _, _) in open_bookings.get(
                     record.agent, {}
                 ).items():
                     if booker == record.peer:
                         death_releases_due[(record.agent, rid)] = index
-        elif isinstance(record, AuctionOpened):
+        elif cls is AuctionOpened:
             key = (record.agent, record.request_id)
             prior = open_auctions.get(key)
             if prior is not None:
@@ -274,7 +295,7 @@ def check_trace(records: Sequence[TraceRecord]) -> List[Violation]:
                     f"#{prior} is still unsettled",
                 )
             open_auctions[key] = index
-        elif isinstance(record, AuctionSettled):
+        elif cls is AuctionSettled:
             key = (record.agent, record.request_id)
             if key in open_auctions:
                 del open_auctions[key]
@@ -284,7 +305,7 @@ def check_trace(records: Sequence[TraceRecord]) -> List[Violation]:
                     f"{record.agent} settled request {record.request_id} "
                     f"({record.reason}) without a prior auction.open",
                 )
-        elif isinstance(record, ReservationBooked):
+        elif cls is ReservationBooked:
             windows = open_bookings.setdefault(record.agent, {})
             if record.request_id in windows:
                 flag(
@@ -306,10 +327,10 @@ def check_trace(records: Sequence[TraceRecord]) -> List[Violation]:
             windows[record.request_id] = (
                 index, record.booker, record.start, record.end,
             )
-        elif isinstance(record, ReservationReleased):
+        elif cls is ReservationReleased:
             open_bookings.get(record.agent, {}).pop(record.request_id, None)
             death_releases_due.pop((record.agent, record.request_id), None)
-        elif isinstance(record, DiscoveryEvaluated):
+        elif cls is DiscoveryEvaluated:
             if (
                 record.decision == "forward"
                 and record.target is not None
@@ -320,11 +341,11 @@ def check_trace(records: Sequence[TraceRecord]) -> List[Violation]:
                     f"{record.agent} forwarded request {record.request_id} "
                     f"to {record.target} while suspecting it",
                 )
-        elif isinstance(record, AckSent):
+        elif cls is AckSent:
             last_ack[record.request_id] = (index, record.agent)
-        elif isinstance(record, PortalResult):
+        elif cls is PortalResult:
             resulted_requests.add(record.request_id)
-        elif isinstance(record, EvolveStep):
+        elif cls is EvolveStep:
             history = record.history
             for gen in range(1, len(history)):
                 if history[gen] > history[gen - 1] + _EPS:
@@ -338,10 +359,6 @@ def check_trace(records: Sequence[TraceRecord]) -> List[Violation]:
 
     # Requests completed on a resource, mapped back through agent.local.
     completed_ids = set()
-    local_by_task: Dict[Tuple[str, int], int] = {}
-    for record in records:
-        if record.kind == "agent.local":
-            local_by_task[(record.agent, record.task_id)] = record.request_id
     for key in completed_requests:
         request_id = local_by_task.get(key)
         if request_id is not None:

@@ -13,7 +13,10 @@ no environment-variable lookup, and no disabled-logger call overhead.
 Sinks
 -----
 * :class:`MemorySink` — a ring buffer (unbounded by default) for tests,
-  the golden-trace tier, and the CLI;
+  the golden-trace tier, and the CLI.  It retains each record as a row,
+  the tuple ``(class index, *field values)``: a tuple of atomic values
+  is untracked by CPython's cyclic collector, so a long trace costs the
+  collector nothing while it grows;
 * :class:`FileSink` — deterministic JSONL (sorted keys, sim-time stamps
   only) for offline diffing;
 * :class:`TeeSink` — fan out to several sinks.
@@ -21,12 +24,15 @@ Sinks
 
 from __future__ import annotations
 
+import gc
 import json
 from collections import deque
-from typing import IO, List, Optional, Sequence
+from dataclasses import fields
+from operator import attrgetter
+from typing import IO, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import ValidationError
-from repro.obs.metrics import MetricsRegistry
+from repro.obs.metrics import Counter, MetricsRegistry
 from repro.obs.records import TraceRecord, record_to_dict
 
 __all__ = ["TraceSink", "MemorySink", "FileSink", "TeeSink", "Tracer"]
@@ -38,12 +44,38 @@ class TraceSink:
     def emit(self, record: TraceRecord) -> None:  # pragma: no cover - interface
         raise NotImplementedError
 
+    def emit_row(self, cls: type, *values: object) -> None:
+        """Record one ``cls(*values)`` (default: build it and :meth:`emit`)."""
+        self.emit(cls(*values))
+
     def close(self) -> None:
         """Release any resources (default: nothing to release)."""
 
 
+# The row codec shared by every MemorySink: record class -> (row index,
+# getter packing an instance's field values in field order), and row
+# index -> class.  Classes register on first use, so any frozen
+# TraceRecord subclass can be retained.
+_ROW_CODEC: Dict[type, Tuple[int, Callable[[TraceRecord], tuple]]] = {}
+_ROW_CLASSES: List[type] = []
+
+
+def _row_codec(cls: type) -> Tuple[int, Callable[[TraceRecord], tuple]]:
+    # Every record has ``t`` and at least one field, so the getter
+    # always returns a tuple.
+    getter = attrgetter(*(f.name for f in fields(cls)))
+    codec = _ROW_CODEC[cls] = (len(_ROW_CLASSES), getter)
+    _ROW_CLASSES.append(cls)
+    return codec
+
+
 class MemorySink(TraceSink):
     """Retains records in memory, optionally ring-buffered.
+
+    Each record is kept as a row ``(class index, *field values)`` — the
+    exact field objects, so a rebuilt record equals the emitted one and
+    has its type.  Rows of atomic values are invisible to the cyclic
+    collector; :attr:`records` rebuilds the frozen records on demand.
 
     Parameters
     ----------
@@ -56,13 +88,26 @@ class MemorySink(TraceSink):
     def __init__(self, capacity: Optional[int] = None) -> None:
         if capacity is not None and capacity < 1:
             raise ValidationError(f"capacity must be >= 1, got {capacity}")
-        self._records: deque = deque(maxlen=capacity)
+        self._rows: deque = deque(maxlen=capacity)
         self._emitted = 0
 
     @property
     def records(self) -> List[TraceRecord]:
-        """The retained records, oldest first (copy)."""
-        return list(self._records)
+        """The retained records, oldest first (rebuilt on every read).
+
+        The collector is paused while the list is built: the rebuilt
+        records are immutable and acyclic, so a collection pass over them
+        could free nothing, and a long trace would otherwise trigger
+        several full passes over its own half-built copy.
+        """
+        classes = _ROW_CLASSES
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            return [classes[row[0]](*row[1:]) for row in self._rows]
+        finally:
+            if enabled:
+                gc.enable()
 
     @property
     def emitted(self) -> int:
@@ -70,12 +115,18 @@ class MemorySink(TraceSink):
         return self._emitted
 
     def emit(self, record: TraceRecord) -> None:
-        self._records.append(record)
+        cls = record.__class__
+        index, pack = _ROW_CODEC.get(cls) or _row_codec(cls)
+        self._rows.append((index,) + pack(record))
+        self._emitted += 1
+
+    def emit_row(self, cls: type, *values: object) -> None:
+        self._rows.append(((_ROW_CODEC.get(cls) or _row_codec(cls))[0],) + values)
         self._emitted += 1
 
     def clear(self) -> None:
         """Drop all retained records and zero the emitted count."""
-        self._records.clear()
+        self._rows.clear()
         self._emitted = 0
 
 
@@ -144,6 +195,9 @@ class Tracer:
     ) -> None:
         self._sink = sink if sink is not None else MemorySink()
         self.metrics = metrics if metrics is not None else MetricsRegistry()
+        # record class -> its ``records.<kind>`` counter (registry
+        # instruments are never replaced, only zeroed).
+        self._counters: Dict[type, Counter] = {}
 
     @property
     def sink(self) -> TraceSink:
@@ -152,7 +206,11 @@ class Tracer:
 
     @property
     def records(self) -> List[TraceRecord]:
-        """The retained records, when the sink keeps them in memory."""
+        """The retained records, when the sink keeps them in memory.
+
+        A :class:`MemorySink` rebuilds the list on every read: read it once
+        and keep the list.
+        """
         if not isinstance(self._sink, MemorySink):
             raise ValidationError(
                 f"{type(self._sink).__name__} does not retain records; "
@@ -160,10 +218,27 @@ class Tracer:
             )
         return self._sink.records
 
+    def _counter(self, cls: type) -> Counter:
+        counter = self._counters[cls] = self.metrics.counter("records." + cls.kind)
+        return counter
+
     def emit(self, record: TraceRecord) -> None:
         """Record one trace event."""
-        self.metrics.counter("records." + record.kind).inc()
+        cls = record.__class__
+        counter = self._counters.get(cls) or self._counter(cls)
+        counter.inc()
         self._sink.emit(record)
+
+    def emit_row(self, cls: type, *values: object) -> None:
+        """Record one ``cls(*values)`` — *values* in field order, ``t`` first.
+
+        The bulk kinds (``sim.event``, ``net.send``, ``net.deliver``) are
+        emitted this way, so a :class:`MemorySink` keeps them as rows
+        without ever building the record object.
+        """
+        counter = self._counters.get(cls) or self._counter(cls)
+        counter.inc()
+        self._sink.emit_row(cls, *values)
 
     def close(self) -> None:
         """Close the underlying sink."""

@@ -373,13 +373,8 @@ class Engine:
         self._now = head[0]
         self._fired += 1
         if self._tracer is not None:
-            self._tracer.emit(
-                EventFired(
-                    t=head[0],
-                    label=event.label,
-                    priority=int(head[1]),
-                    seq=head[2],
-                )
+            self._tracer.emit_row(
+                EventFired, head[0], event.label, int(head[1]), head[2]
             )
         event.callback()
         return True
@@ -511,13 +506,8 @@ class Engine:
                 self._now = head[0]
                 fired += 1
                 if tracer is not None:
-                    tracer.emit(
-                        EventFired(
-                            t=head[0],
-                            label=event.label,
-                            priority=int(head[1]),
-                            seq=head[2],
-                        )
+                    tracer.emit_row(
+                        EventFired, head[0], event.label, int(head[1]), head[2]
                     )
                 # Left set between iterations on purpose: nothing runs
                 # outside callbacks inside this loop, the next iteration

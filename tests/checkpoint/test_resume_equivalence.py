@@ -25,12 +25,14 @@ from repro.experiments.experiment4 import (
     run_degraded,
 )
 from repro.experiments.runner import Run, resume, run_experiment
+from repro.experiments.scenarios import ScenarioSpec, generate_scenario
 from repro.obs.records import canonical_lines
 from repro.obs.trace import Tracer
 from repro.scheduling.scheduler import SchedulingPolicy
 
 SEEDS = (2003, 7, 11, 23, 42)
 AT_STEP = 400
+FAULT_COUNTERS = ("dropped_by_chance", "dropped_by_partition", "jittered", "straggled")
 
 
 def strict_config(seed: int) -> ExperimentConfig:
@@ -169,6 +171,39 @@ class TestDegradedResume:
             + canonical_lines(tracer_post.records),
         )
         assert full.counters == resumed.counters
+
+    def test_fault_plan_counters_survive_resume(self, tmp_path):
+        """Every attribution counter of the fault plan round-trips through
+        a snapshot, ``straggled`` included (a resumed grey-combo run used
+        to restart it from 0)."""
+        spec = ScenarioSpec(
+            name="ckpt-grey", agent_count=60, request_count=40,
+            chaos="grey-combo", master_seed=7,
+        )
+        scenario = generate_scenario(spec)
+
+        def build() -> Run:
+            return Run(
+                spec.config(), scenario.topology, mode="horizon",
+                workload=list(scenario.workload),
+            )
+
+        def counters(run: Run):
+            plan = run.system.transport.fault_plan
+            return {name: getattr(plan, name) for name in FAULT_COUNTERS}
+
+        path = str(tmp_path / "snap.json")
+        message_module.set_message_counter(0)
+        full = build()
+        full_result = full.execute()
+        message_module.set_message_counter(0)
+        build().snapshot_at(full.steps // 3, path)
+        resumed = Run.from_snapshot(path)
+        resumed_result = resumed.execute()
+
+        assert resumed_result.rng_digest == full_result.rng_digest
+        assert counters(resumed) == counters(full)
+        assert counters(full)["straggled"] > 0 and counters(full)["jittered"] > 0
 
     def test_superseded_ack_timer_leaves_no_event_drift(self, tmp_path, monkeypatch):
         """An agent that forwards one request twice keeps one ack timer.
